@@ -18,6 +18,13 @@ from . import birman_menasco, braid3, counts, quadforms
 
 SCHEMA = "bqf-braid/1"
 
+#: Largest |t| any subcommand accepts.  Form enumeration takes time and
+#: memory near linear in |t|; at this bound one enumeration takes about a
+#: second.
+MAX_ABS_T = 10**5
+#: Largest census word length; the census walk grows about 3x per letter.
+MAX_CENSUS_LEN = 14
+
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
@@ -260,10 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args: argparse.Namespace) -> None:
+    """Reject oversized inputs before any work is allocated for them."""
+    for name in ("t", "tmin", "tmax"):
+        value = getattr(args, name, None)
+        if value is not None and abs(value) > MAX_ABS_T:
+            raise ValueError(f"|{name}| = {abs(value)} exceeds the limit {MAX_ABS_T}")
+    max_len = getattr(args, "max_len", None)
+    if max_len is not None and max_len > MAX_CENSUS_LEN:
+        raise ValueError(f"--max-len {max_len} exceeds the limit {MAX_CENSUS_LEN}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except (ValueError, counts.LinkCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,23 +182,99 @@ def equivalent(f: QForm, g: QForm) -> bool:
     return reduce(f) == reduce(g)
 
 
-def _reduced_indefinite_forms(disc: int, root: int) -> list[tuple[int, int, int]]:
-    # All reduced forms: 0 < b < sqrt(disc), ac = (b^2 - disc)/4 < 0,
-    # and sqrt(disc) - b < 2|a| < sqrt(disc) + b.
-    out = []
-    for b in range(1, root + 1):
-        if (disc - b * b) % 4:
-            continue
-        prod = (disc - b * b) // 4  # |a| * |c|
-        for aa in range(1, math.isqrt(prod) + 1):
-            if prod % aa:
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, n >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def _sqrt_mod(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, or None (Tonelli-Shanks)."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, x, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while x != 1:
+        i, x2 = 0, x
+        while x2 != 1:
+            x2 = x2 * x2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        x, r = x * c % p, r * b % p
+    return r
+
+
+def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
+    """All reduced forms of discriminant D = t^2 - 4, |t| >= 3, sorted.
+
+    With T = |t| the root isqrt(D) is T - 1, and writing b = T - 2u
+    turns the reduction conditions 0 < b < sqrt(D), ac = (b^2 - D)/4 and
+    sqrt(D) - b < 2|a| < sqrt(D) + b into: the reduced forms are
+    exactly (x, T - 2u, -y) and (-x, T - 2u, y) for 1 <= u <= (T-1)/2,
+    x * y = u(T - u) - 1 and u <= x <= T - u - 1.
+
+    The values u(T - u) - 1 are factored all at once by a sieve: p
+    divides the value at u exactly when u is a root of u^2 - Tu + 1
+    mod p, that is u = (T +- sqrt(D)) / 2 mod p (for p = 2: T even and
+    u odd).  Every prime p <= T/2 is sieved and divided out of each hit
+    as often as it goes, so no root needs lifting mod p^k; the values
+    are below (T/2)^2, so any cofactor left over is prime.  Each
+    value's divisors in the window then give its forms.
+    """
+    big = abs(t)
+    disc = big * big - 4
+    top = (big - 1) // 2
+    rest = [u * (big - u) - 1 for u in range(top + 1)]
+    factors: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for p in _primes_upto(big // 2):
+        if p == 2:
+            hits = (1,) if big % 2 == 0 else ()
+        else:
+            s = _sqrt_mod(disc, p)
+            if s is None:
                 continue
-            for mag in {aa, prod // aa}:
-                if root - b + 1 <= 2 * mag <= root + b:
-                    cc = prod // mag
-                    out.append((mag, b, -cc))
-                    out.append((-mag, b, cc))
-    return sorted(set(out))
+            half = (p + 1) // 2  # the inverse of 2 mod p
+            hits = {(big + s) * half % p, (big - s) * half % p}
+        for first in hits:
+            for u in range(first, top + 1, p):
+                v, e = rest[u] // p, 1
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                rest[u] = v
+                factors[u].append((p, e))
+    out = []
+    for u in range(1, top + 1):
+        if rest[u] > 1:
+            factors[u].append((rest[u], 1))
+        divisors = [1]
+        for p, e in factors[u]:
+            power = divisors
+            for _ in range(e):
+                power = [d * p for d in power]
+                divisors = divisors + power
+        prod, b, hi = u * (big - u) - 1, big - 2 * u, big - u - 1
+        for x in divisors:
+            if u <= x <= hi:
+                y = prod // x
+                out.append((x, b, -y))
+                out.append((-x, b, y))
+    out.sort()
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -208,8 +284,12 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     Negative discriminant (|t| < 2): reduced positive definite forms
     are enumerated with the classical bound a <= sqrt(|D|/3), and each
     contributes its negative as a separate negative definite class.
-    Positive discriminant: all reduced forms are enumerated and grouped
-    into neighbor-step cycles, one class per cycle.
+    Positive discriminant: the reduced forms come from a divisor sieve
+    over the parametrisation b = |t| - 2u (see
+    _reduced_indefinite_forms), and one pass over them in ascending
+    order walks the neighbor-step cycle of each form not yet seen.
+    Each cycle is one class; its first form met is its least member,
+    so the classes come out ordered by representative.
     """
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded (discriminant 0)")
@@ -228,15 +308,15 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
         keys = [FormClassKey(disc, rep) for rep in reps]
         keys += [FormClassKey(disc, (-a, -b, -c)) for a, b, c in reps]
         return tuple(keys)
-    remaining = set(_reduced_indefinite_forms(disc, root))
+    seen: set[tuple[int, int, int]] = set()
     keys = []
-    while remaining:
-        seed = min(remaining)
-        cycle = _indefinite_cycle(seed, disc, root)
-        for g in cycle:
-            remaining.discard(g)
+    for f in _reduced_indefinite_forms(t):
+        if f in seen:
+            continue
+        cycle = _indefinite_cycle(f, disc, root)
+        seen.update(cycle)
         keys.append(FormClassKey(disc, min(cycle), cycle))
-    return tuple(sorted(keys, key=lambda k: k.rep))
+    return tuple(keys)
 
 
 def class_number(t: int) -> int:

@@ -1,13 +1,16 @@
 """Brute-force oracles shared by the test modules.
 
-Everything here is deliberately dumb: bounded exhaustive searches and
-direct substitutions that are independent of the library's reduction
-and decomposition algorithms.
+Everything here is deliberately dumb: bounded exhaustive searches,
+direct substitutions, trial division and textbook closed forms that are
+independent of the library's reduction, enumeration and decomposition
+algorithms.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import product
 
 from braidforms.quadforms import QForm
@@ -111,6 +114,60 @@ def forms_with_bounded_coeffs(disc: int, bound: int) -> list[QForm]:
         if b * b - 4 * a * c == disc:
             out.append(QForm(a, b, c))
     return out
+
+
+def trial_division_reduced_forms(disc: int, root: int) -> list[tuple[int, int, int]]:
+    """All reduced indefinite forms of disc, root = isqrt(disc), sorted.
+
+    Trial division: for every middle coefficient b, every divisor of
+    (disc - b^2)/4 up to its square root is tried.  Theta(disc) work.
+    """
+    # All reduced forms: 0 < b < sqrt(disc), ac = (b^2 - disc)/4 < 0,
+    # and sqrt(disc) - b < 2|a| < sqrt(disc) + b.
+    out = []
+    for b in range(1, root + 1):
+        if (disc - b * b) % 4:
+            continue
+        prod = (disc - b * b) // 4  # |a| * |c|
+        for aa in range(1, math.isqrt(prod) + 1):
+            if prod % aa:
+                continue
+            for mag in {aa, prod // aa}:
+                if root - b + 1 <= 2 * mag <= root + b:
+                    cc = prod // mag
+                    out.append((mag, b, -cc))
+                    out.append((-mag, b, cc))
+    return sorted(set(out))
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k > 0 and gcd(h, k) = 1, by the reciprocity law
+
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1) / (12hk) - 1/4.
+    """
+    total, sign = Fraction(0), 1
+    h %= k
+    while k > 1:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+def rademacher_residue(m: Mat2Z) -> int:
+    """Exponent residue mod 12 of m in closed form, via Rademacher's function.
+
+    For c != 0: (a + d)/c - 12 sign(c) s(d, |c|) + 9 sign(c) (mod 12);
+    for c == 0 (so d = +-1): b/d + 6 [d < 0] (mod 12).  Independent of
+    any S/T decomposition.
+    """
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if c == 0:
+        return (b * d + (6 if d < 0 else 0)) % 12
+    sign = 1 if c > 0 else -1
+    phi = Fraction(a + d, c) - 12 * sign * dedekind_sum(d, abs(c))
+    assert phi.denominator == 1, f"Rademacher function not integral at {m}"
+    return (int(phi) + 9 * sign) % 12
 
 
 def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:

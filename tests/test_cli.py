@@ -1,10 +1,12 @@
 """Tests for the command-line surface: output formats and exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from braidforms.cli import main
+from braidforms import quadforms
+from braidforms.cli import MAX_ABS_T, main
 
 
 def run(capsys, *argv):
@@ -188,6 +190,50 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0 and payload["pass"] is True
         assert [r["n"] for r in payload["results"]] == [0, 0]
+
+
+class TestLimits:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError(f"enumerate_classes({t}) reached past the limit")
+
+        monkeypatch.setattr(quadforms, "enumerate_classes", refuse)
+
+    def test_huge_trace_exits_2_without_allocating(self, capsys, no_enumeration):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "h", str(10**12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "exceeds the limit" in err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ("h", str(-MAX_ABS_T - 1)),
+        ("forms", str(MAX_ABS_T + 1)),
+        ("classes", str(-MAX_ABS_T - 1)),
+        ("counts", str(MAX_ABS_T + 1), "0"),
+        ("m", str(MAX_ABS_T + 1), "0"),
+        ("census", str(MAX_ABS_T + 1), "0", "--max-len", "2"),
+        ("verify", "--tmin", "3", "--tmax", str(MAX_ABS_T + 1)),
+        ("verify", "--tmin", str(-MAX_ABS_T - 1), "--tmax", "3"),
+    ])
+    def test_trace_limit(self, capsys, no_enumeration, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"exceeds the limit {MAX_ABS_T}" in err
+
+    def test_trace_limit_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "m", str(MAX_ABS_T), "0")
+        assert code == 0 and out.startswith(f"t={MAX_ABS_T} ")
+
+    def test_census_length_limit(self, capsys):
+        code, out, err = run(capsys, "census", "3", "0", "--max-len", "40")
+        assert code == 2 and out == ""
+        assert "--max-len 40 exceeds the limit 14" in err
 
 
 class TestJsonRoundTrip:

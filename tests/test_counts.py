@@ -11,6 +11,7 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                default_sweep_exponent, link_count,
                                trace_classes)
 from braidforms.sl2z import st_product
+from oracles import rademacher_residue
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -40,6 +41,15 @@ class TestTraceClasses:
                     p = random_matrix(rng)
                     conj = p * rep * p.inverse()
                     assert sl2z.exponent_mod12(conj) == cls.residue
+
+
+    def test_residues_match_rademacher_closed_form(self):
+        # Reaches traces far beyond the brute-force conjugacy oracles.
+        traces = [t for t in range(-100, 101) if t not in (2, -2)] + [4999, -10000]
+        for t in traces:
+            for cls in trace_classes(t):
+                rep = quadforms.matrix_of_form(cls.key.rep_form(), t)
+                assert cls.residue == rademacher_residue(rep), (t, cls.key.rep)
 
 
 class TestClassCount:

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from braidforms.quadforms import (FormClassKey, QForm, act, class_number,
-                                  enumerate_classes, equivalent,
+from braidforms.quadforms import (FormClassKey, QForm,
+                                  _reduced_indefinite_forms, act,
+                                  class_number, enumerate_classes, equivalent,
                                   form_of_matrix, matrix_of_form, reduce)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
 from oracles import (conjugacy_components, evaluate,
                      forms_with_bounded_coeffs, sl2_ball, substitute,
-                     trace_t_matrices)
+                     trace_t_matrices, trial_division_reduced_forms)
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -182,6 +183,24 @@ class TestEnumerateClasses:
             keys = set(enumerate_classes(t))
             seen = {reduce(f) for f in forms_with_bounded_coeffs(t * t - 4, 12)}
             assert seen == keys
+
+    def test_sieve_matches_trial_division_oracle(self):
+        # Dense small traces, then primes, highly composite values and
+        # powers of two +- 1, where the sieve's special cases bite.
+        for t in [*range(3, 401), 997, 1000, 2310, 4097, 4999]:
+            disc = t * t - 4
+            expected = trial_division_reduced_forms(disc, t - 1)
+            assert expected
+            for signed in (t, -t):
+                forms = _reduced_indefinite_forms(signed)
+                assert forms == expected, signed
+            for a, b, c in forms:
+                assert b * b - 4 * a * c == disc
+                # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b,
+                # squared out (disc is not a square).
+                assert 0 < b and b * b < disc
+                assert (2 * abs(a) + b) ** 2 > disc
+                assert 2 * abs(a) < b or (2 * abs(a) - b) ** 2 < disc
 
     def test_cycles_close_under_neighbor_step(self):
         import math

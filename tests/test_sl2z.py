@@ -8,7 +8,8 @@ from braidforms import braid3
 from braidforms.sl2z import (IDENTITY, Mat2Z, S, T, decompose_st,
                              exponent_mod12, gen_power, is_conjugate,
                              st_product)
-from oracles import conjugacy_components, random_word, trace_t_matrices
+from oracles import (conjugacy_components, rademacher_residue, random_word,
+                     sl2_ball, trace_t_matrices)
 
 NEG_I = Mat2Z(-1, 0, 0, -1)
 
@@ -110,6 +111,12 @@ class TestExponentMod12:
         for _ in range(10_000):
             w = braid3.BraidWord(random_word(rng, 30))
             assert exponent_mod12(braid3.phi(w)) == braid3.exponent_sum(w) % 12
+
+    def test_matches_rademacher_closed_form_on_ball(self):
+        ball = sl2_ball(7)
+        assert len(ball) == 1132
+        for m in ball:
+            assert exponent_mod12(m) == rademacher_residue(m)
 
 
 class TestIsConjugate:
