@@ -8,15 +8,22 @@ Z[q^{+-1}], and the integer matrix image under s1 -> S, s2 -> T, which
 is the Burau matrix specialized at q = -1.  The Alexander and Jones
 polynomials of the braid closure are closed functions of the Burau
 trace and the exponent sum.
+
+Both matrix images are taken syllable by syllable: a maximal run of one
+letter is multiplied in as one closed-form generator power, so the Burau
+product costs time linear in the degree per syllable rather than per
+letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
+from operator import add, sub
 
 from . import sl2z
 from .laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent, NEG_INV_SQRT_Q,
-                      NEG_Q, ONE, SQRT_Q, ZERO, i_power, monomial_pow)
+                      NEG_Q, ONE, SQRT_Q, i_power, monomial_pow)
 
 #: Letters are +-1 and +-2: the generator index, negated for inverses.
 VALID_LETTERS = (1, -1, 2, -2)
@@ -62,44 +69,55 @@ class BraidWord:
         invert the letter; a power of zero contributes nothing.
         """
         letters: list[int] = []
-        pos = 0
-        for token in text.split():
-            pos = text.index(token, pos)
-            base, _, power_text = token.partition("^")
-            try:
-                letter = int(base)
-            except ValueError:
-                raise BraidParseError(f"malformed generator {base!r}", pos) from None
-            if letter not in VALID_LETTERS:
-                raise BraidParseError(f"generator index out of range for B3: {base}", pos)
-            power = 1
-            if "^" in token:
-                try:
-                    power = int(power_text)
-                except ValueError:
-                    raise BraidParseError(f"malformed power {power_text!r}", pos) from None
-            if power < 0:
-                letter, power = -letter, -power
-            letters.extend([letter] * power)
-            pos += len(token)
+        for letter, count in parse_syllables(text):
+            letters += [letter] * count
         return cls(tuple(letters))
+
+    def syllables(self) -> list[tuple[int, int]]:
+        """The maximal runs of one letter, as (letter, count) pairs."""
+        return [(letter, len(list(run))) for letter, run in groupby(self.letters)]
 
     def render(self) -> str:
         """Inverse of parse on its image: runs collapse to powers."""
-        parts = []
-        i = 0
-        letters = self.letters
-        while i < len(letters):
-            j = i
-            while j < len(letters) and letters[j] == letters[i]:
-                j += 1
-            run = j - i
-            parts.append(str(letters[i]) if run == 1 else f"{letters[i]}^{run}")
-            i = j
-        return " ".join(parts)
+        return " ".join(str(letter) if count == 1 else f"{letter}^{count}"
+                        for letter, count in self.syllables())
 
     def __str__(self) -> str:
         return self.render()
+
+
+def parse_syllables(text: str) -> list[tuple[int, int]]:
+    """Read the token grammar of BraidWord.parse into (letter, count) runs.
+
+    Counts are positive and neighbouring runs have different letters, as
+    in BraidWord.syllables.  Nothing is expanded, so the size of a word
+    can be read before its letters are built.
+    """
+    runs: list[tuple[int, int]] = []
+    pos = 0
+    for token in text.split():
+        pos = text.index(token, pos)
+        base, _, power_text = token.partition("^")
+        try:
+            letter = int(base)
+        except ValueError:
+            raise BraidParseError(f"malformed generator {base!r}", pos) from None
+        if letter not in VALID_LETTERS:
+            raise BraidParseError(f"generator index out of range for B3: {base}", pos)
+        power = 1
+        if "^" in token:
+            try:
+                power = int(power_text)
+            except ValueError:
+                raise BraidParseError(f"malformed power {power_text!r}", pos) from None
+        if power < 0:
+            letter, power = -letter, -power
+        if runs and runs[-1][0] == letter:
+            runs[-1] = (letter, runs[-1][1] + power)
+        elif power:
+            runs.append((letter, power))
+        pos += len(token)
+    return runs
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -149,37 +167,82 @@ class BurauMat:
         return sl2z.Mat2Z(*values)
 
 
-_BURAU_IDENTITY = BurauMat(ONE, ZERO, ZERO, ONE)
+# Inside burau the entries are dense polynomials in r = -q, stored as
+# (offset, coefficients) for sum(c * r**(offset + i)) with no zero at
+# either end.  With G_n(r) = 1 + r + ... + r**(n-1) and n > 0, the
+# generator powers are, in r and in q:
+#   s1^n  = [[1, r G_n(r)], [0, r^n]]          = [[1, -q G_n(-q)], [0, (-q)^n]]
+#   s1^-n = [[1, -r^(1-n) G_n(r)], [0, r^-n]]  = [[1, -G_n(-1/q)], [0, (-1/q)^n]]
+#   s2^n  = [[r^n, 0], [-G_n(r), 1]]           = [[(-q)^n, 0], [-G_n(-q), 1]]
+#   s2^-n = [[r^-n, 0], [r^-n G_n(r), 1]]      = [[(-1/q)^n, 0], [-G_n(-1/q)/q, 1]]
+# A power of s1 rescales column 2 by r^p (p = +-n) and adds column 1
+# times its G term; a power of s2 does the same with the columns swapped.
+_R_ZERO: tuple[int, list[int]] = (0, [])
+_R_ONE: tuple[int, list[int]] = (0, [1])
 
-# Generator images and their exact symbolic inverses.
-_BURAU_GEN = {
-    1: BurauMat(ONE, NEG_Q, ZERO, NEG_Q),
-    -1: BurauMat(ONE, HalfLaurent({0: -1}), ZERO, HalfLaurent({-2: -1})),
-    2: BurauMat(NEG_Q, ZERO, HalfLaurent({0: -1}), ONE),
-    -2: BurauMat(HalfLaurent({-2: -1}), ZERO, HalfLaurent({-2: -1}), ONE),
-}
 
-_PHI_GEN = {
-    1: sl2z.S,
-    -1: sl2z.S.inverse(),
-    2: sl2z.T,
-    -2: sl2z.T.inverse(),
-}
+def _syllable_entry(keep: tuple[int, list[int]], moved: tuple[int, list[int]],
+                    letter: int, n: int) -> tuple[int, list[int]]:
+    """r^p * keep + (G term of letter^n) * moved, one entry of M * letter^n.
+
+    keep is the entry in the column that letter^n rescales, moved the
+    entry beside it in the other column.  Multiplying by G_n(r) is one
+    running sum, y_k = x_k - x_(k-n) + y_(k-1), so the cost is linear in
+    the degree plus n.
+    """
+    p = n if letter > 0 else -n
+    k_off, k = keep
+    k_off += p
+    m_off, m = moved
+    if not m:
+        return k_off, k
+    m_off += (abs(letter) == 1) + min(p, 0)
+    if n > 1:
+        m = list(accumulate(map(sub, m + [0] * (n - 1), [0] * n + m[:-1])))
+    positive = letter in (1, -2)
+    if not k:
+        return m_off, m if positive else [-c for c in m]
+    lo = min(k_off, m_off)
+    hi = max(k_off + len(k), m_off + len(m))
+    out = list(map(add if positive else sub,
+                   [0] * (k_off - lo) + k + [0] * (hi - k_off - len(k)),
+                   [0] * (m_off - lo) + m + [0] * (hi - m_off - len(m))))
+    while out and not out[-1]:
+        out.pop()
+    start = next((i for i, c in enumerate(out) if c), len(out))
+    return lo + start, out[start:]
+
+
+def _r_to_laurent(entry: tuple[int, list[int]]) -> HalfLaurent:
+    """A dense polynomial in r = -q as an element of Z[sqrt(q), 1/sqrt(q)]."""
+    off, coeffs = entry
+    return HalfLaurent({2 * e: -c if e & 1 else c
+                        for e, c in enumerate(coeffs, off) if c})
 
 
 def burau(w: BraidWord) -> BurauMat:
-    """The reduced Burau matrix of w: the ordered product of generator images."""
-    m = _BURAU_IDENTITY
-    for letter in w.letters:
-        m = m * _BURAU_GEN[letter]
-    return m
+    """The reduced Burau matrix of w: the ordered product of generator images.
+
+    The product is taken one syllable at a time, by the closed forms of
+    the generator powers above, on dense coefficient lists; a syllable
+    costs time linear in the degree so far plus its length.
+    """
+    m11, m12, m21, m22 = _R_ONE, _R_ZERO, _R_ZERO, _R_ONE
+    for letter, n in w.syllables():
+        if abs(letter) == 1:
+            m12 = _syllable_entry(m12, m11, letter, n)
+            m22 = _syllable_entry(m22, m21, letter, n)
+        else:
+            m11 = _syllable_entry(m11, m12, letter, n)
+            m21 = _syllable_entry(m21, m22, letter, n)
+    return BurauMat(*map(_r_to_laurent, (m11, m12, m21, m22)))
 
 
 def phi(w: BraidWord) -> sl2z.Mat2Z:
-    """The integer matrix image of w under s1 -> S, s2 -> T."""
+    """The integer matrix image of w under s1 -> S, s2 -> T, one syllable at a time."""
     m = sl2z.IDENTITY
-    for letter in w.letters:
-        m = m * _PHI_GEN[letter]
+    for letter, n in w.syllables():
+        m = m * sl2z.gen_power("S" if abs(letter) == 1 else "T", n if letter > 0 else -n)
     return m
 
 

@@ -24,6 +24,17 @@ SCHEMA = "bqf-braid/1"
 MAX_ABS_T = 10**5
 #: Largest census word length; the census walk grows about 3x per letter.
 MAX_CENSUS_LEN = 14
+#: Largest sum of |t| over a verify range.  One t costs time about
+#: proportional to |t| (a little more per unit at large |t|); a range at
+#: this bound takes about a minute.
+MAX_VERIFY_ABS_T_SUM = 3 * 10**6
+#: Largest invariants word, in letters after powers and --delta-power
+#: are expanded.
+MAX_WORD_LETTERS = 10**5
+#: Largest syllables x letters of an invariants word.  Each syllable of
+#: the Burau product costs time linear in the degree so far, so the word
+#: costs about this product; at this bound it takes about a second.
+MAX_WORD_COST = 4 * 10**6
 
 
 def _emit_json(payload: dict) -> None:
@@ -276,6 +287,24 @@ def _check_limits(args: argparse.Namespace) -> None:
     max_len = getattr(args, "max_len", None)
     if max_len is not None and max_len > MAX_CENSUS_LEN:
         raise ValueError(f"--max-len {max_len} exceeds the limit {MAX_CENSUS_LEN}")
+    if args.command == "verify" and args.tmin <= args.tmax:
+        total = sum(map(abs, range(args.tmin, args.tmax + 1)))
+        if total > MAX_VERIFY_ABS_T_SUM:
+            raise ValueError(f"sum of |t| over the range = {total} exceeds "
+                             f"the limit {MAX_VERIFY_ABS_T_SUM}")
+    if args.command == "invariants":
+        # The word's size is read from its tokens and K, before any letter
+        # list is built; D^K adds 3|K| letters and about 2|K| syllables.
+        syllables = braid3.parse_syllables(args.word)
+        k = abs(args.delta_power)
+        letters = 3 * k + sum(count for _, count in syllables)
+        if letters > MAX_WORD_LETTERS:
+            raise ValueError(f"the word has {letters} letters, which exceeds "
+                             f"the limit {MAX_WORD_LETTERS}")
+        cost = (len(syllables) + 2 * k) * letters
+        if cost > MAX_WORD_COST:
+            raise ValueError(f"syllables x letters = {cost} exceeds the limit "
+                             f"{MAX_WORD_COST}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,8 +10,8 @@ with mathematical equality.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 
 class NonDivisibleError(ArithmeticError):
@@ -160,9 +160,11 @@ class HalfLaurent:
         """Divide exactly by a nonzero divisor, or raise NonDivisibleError.
 
         Division is carried out in the integer Laurent ring in s: both
-        operands are shifted to ordinary polynomials, long division runs
-        from the top degree, and every leading-coefficient division must
-        be exact with zero final remainder.
+        operands are shifted to ordinary polynomials, the dividend is laid
+        out as a dense coefficient list, and long division runs down it
+        from the top degree, so each quotient term costs one pass over the
+        divisor's terms.  Every leading-coefficient division must be exact,
+        and the remainder left below the divisor's degree must be zero.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -170,28 +172,24 @@ class HalfLaurent:
             return _ZERO
         p_shift = min(self._coeffs)
         d_shift = min(divisor._coeffs)
-        rem = {e - p_shift: c for e, c in self._coeffs.items()}
-        den = {e - d_shift: c for e, c in divisor._coeffs.items()}
-        d_deg = max(den)
-        d_lead = den[d_deg]
+        rem = [0] * (max(self._coeffs) - p_shift + 1)
+        for e, c in self._coeffs.items():
+            rem[e - p_shift] = c
+        den = [(e - d_shift, c) for e, c in divisor._coeffs.items()]
+        d_deg = max(divisor._coeffs) - d_shift
+        d_lead = divisor._coeffs[d_deg + d_shift]
         quot: dict[int, int] = {}
-        while rem:
-            r_deg = max(rem)
-            if r_deg < d_deg:
-                raise NonDivisibleError("remainder of lower degree than divisor")
-            c, r = divmod(rem[r_deg], d_lead)
+        for shift in range(len(rem) - 1 - d_deg, -1, -1):
+            c, r = divmod(rem[shift + d_deg], d_lead)
             if r:
                 raise NonDivisibleError("leading coefficient does not divide")
-            shift = r_deg - d_deg
-            quot[shift] = c
-            for e, v in den.items():
-                ee = e + shift
-                nv = rem.get(ee, 0) - c * v
-                if nv:
-                    rem[ee] = nv
-                else:
-                    del rem[ee]
-        return HalfLaurent({e + p_shift - d_shift: c for e, c in quot.items()})
+            if c:
+                quot[shift + p_shift - d_shift] = c
+                for e, v in den:
+                    rem[e + shift] -= c * v
+        if any(rem[:d_deg]):
+            raise NonDivisibleError("remainder of lower degree than divisor")
+        return HalfLaurent(quot)
 
     def at_q_minus_one(self) -> GaussInt:
         """Evaluate at q = -1, i.e. substitute s = i."""

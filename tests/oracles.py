@@ -13,6 +13,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from braidforms import sl2z
+from braidforms.braid3 import BraidWord, BurauMat
+from braidforms.laurent import NEG_Q, ONE, ZERO, HalfLaurent
 from braidforms.quadforms import QForm
 from braidforms.sl2z import Mat2Z
 
@@ -173,3 +176,38 @@ def rademacher_residue(m: Mat2Z) -> int:
 def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:
     return tuple(rng.choice((1, -1, 2, -2))
                  for _ in range(rng.randrange(0, max_len + 1)))
+
+
+# Letter-by-letter Burau and integer matrix images: the generator images,
+# their exact symbolic inverses, and one sparse matrix product per letter.
+_BURAU_IDENTITY = BurauMat(ONE, ZERO, ZERO, ONE)
+
+_BURAU_GEN = {
+    1: BurauMat(ONE, NEG_Q, ZERO, NEG_Q),
+    -1: BurauMat(ONE, HalfLaurent({0: -1}), ZERO, HalfLaurent({-2: -1})),
+    2: BurauMat(NEG_Q, ZERO, HalfLaurent({0: -1}), ONE),
+    -2: BurauMat(HalfLaurent({-2: -1}), ZERO, HalfLaurent({-2: -1}), ONE),
+}
+
+_PHI_GEN = {
+    1: sl2z.S,
+    -1: sl2z.S.inverse(),
+    2: sl2z.T,
+    -2: sl2z.T.inverse(),
+}
+
+
+def burau(w: BraidWord) -> BurauMat:
+    """The reduced Burau matrix of w: the ordered product of generator images."""
+    m = _BURAU_IDENTITY
+    for letter in w.letters:
+        m = m * _BURAU_GEN[letter]
+    return m
+
+
+def phi(w: BraidWord) -> sl2z.Mat2Z:
+    """The integer matrix image of w under s1 -> S, s2 -> T."""
+    m = sl2z.IDENTITY
+    for letter in w.letters:
+        m = m * _PHI_GEN[letter]
+    return m

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
+import oracles
 from braidforms.braid3 import (BraidParseError, BraidWord, BurauMat, alexander,
-                               burau, exponent_sum, garside_power, jones, phi,
-                               special_value, trace_b3)
+                               burau, exponent_sum, garside_power, jones,
+                               parse_syllables, phi, special_value, trace_b3)
 from braidforms.laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent,
                                 NEG_INV_SQRT_Q, NEG_Q, ONE, ZERO, monomial_pow)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T
@@ -66,6 +67,15 @@ class TestParse:
             w = BraidWord(random_word(rng, 12))
             assert BraidWord.parse(w.render()) == w
         assert BraidWord((1, 1, 1, 2)).render() == "1^3 2"
+
+    def test_syllables_merge_neighbours(self):
+        assert parse_syllables("1 1^2 2^0 1 -2^-3 2") == [(1, 4), (2, 4)]
+        assert parse_syllables("1^0 -1^-2 2^0") == [(1, 2)]
+        rng = random.Random(2)
+        for _ in range(300):
+            w = BraidWord(random_word(rng, 20))
+            assert parse_syllables(w.render()) == w.syllables()
+            assert sum(count for _, count in w.syllables()) == len(w)
 
     def test_letter_validation(self):
         with pytest.raises(ValueError):
@@ -145,6 +155,59 @@ class TestPhi:
     def test_specialization_exhaustive(self):
         for w in words_up_to(5):
             assert burau(w).at_q_minus_one() == phi(w)
+
+
+def _geometric(x: HalfLaurent, n: int) -> HalfLaurent:
+    """G_n(x) = 1 + x + ... + x^(n-1) for a unit monomial x."""
+    total = ZERO
+    for j in range(n):
+        total = total + monomial_pow(x, j)
+    return total
+
+
+NEG_INV_Q = HalfLaurent({-2: -1})
+
+
+class TestSyllableKernel:
+    """The syllable Burau and phi products against the letter-by-letter oracles."""
+
+    def test_closed_form_generator_powers(self):
+        for n in range(1, 51):
+            g_pos, g_neg = _geometric(NEG_Q, n), _geometric(NEG_INV_Q, n)
+            pos, neg = monomial_pow(NEG_Q, n), monomial_pow(NEG_INV_Q, n)
+            expected = {
+                1: BurauMat(ONE, NEG_Q * g_pos, ZERO, pos),
+                -1: BurauMat(ONE, -g_neg, ZERO, neg),
+                2: BurauMat(pos, ZERO, -g_pos, ONE),
+                -2: BurauMat(neg, ZERO, NEG_INV_Q * g_neg, ONE),
+            }
+            for letter, mat in expected.items():
+                w = BraidWord((letter,) * n)
+                assert burau(w) == mat == oracles.burau(w), (letter, n)
+
+    def test_all_words_up_to_seven_letters(self):
+        for w in words_up_to(7):
+            assert burau(w) == oracles.burau(w), w
+            assert phi(w) == oracles.phi(w), w
+
+    def test_random_words(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            w = BraidWord(random_word(rng, 40))
+            assert burau(w) == oracles.burau(w), w
+            assert phi(w) == oracles.phi(w), w
+
+    def test_run_heavy_words(self):
+        rng = random.Random(7)
+        words = [BraidWord.parse(text) for text in
+                 ("1^200 -2^200", "-1^200 2^200", "2^200 -1^3 1^0 -2^199")]
+        for _ in range(30):
+            tokens = [f"{rng.choice((1, -1, 2, -2))}^{rng.randint(1, 200)}"
+                      for _ in range(rng.randint(2, 4))]
+            words.append(BraidWord.parse(" ".join(tokens)))
+        for w in words:
+            assert burau(w) == oracles.burau(w), w.render()
+            assert phi(w) == oracles.phi(w), w.render()
 
 
 class TestTrace:

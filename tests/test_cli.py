@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
-from braidforms import quadforms
-from braidforms.cli import MAX_ABS_T, main
+from braidforms import braid3, counts, quadforms
+from braidforms.cli import (MAX_ABS_T, MAX_VERIFY_ABS_T_SUM, MAX_WORD_COST,
+                            MAX_WORD_LETTERS, main)
 
 
 def run(capsys, *argv):
@@ -229,6 +230,63 @@ class TestLimits:
     def test_trace_limit_is_inclusive(self, capsys):
         code, out, _ = run(capsys, "m", str(MAX_ABS_T), "0")
         assert code == 0 and out.startswith(f"t={MAX_ABS_T} ")
+
+    @pytest.fixture
+    def no_burau(self, monkeypatch):
+        def refuse(w):
+            raise AssertionError(f"burau of a {len(w)}-letter word reached past the limit")
+
+        monkeypatch.setattr(braid3, "burau", refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("1^1000000000",), f"1000000000 letters, which exceeds the limit {MAX_WORD_LETTERS}"),
+        (("1^-100001",), f"100001 letters, which exceeds the limit {MAX_WORD_LETTERS}"),
+        (("", "--delta-power", "1000000000"), "3000000000 letters"),
+        (("1", "--delta-power", "-1000000000"), "3000000001 letters"),
+        ((" ".join(["1 2"] * 1001),), f"exceeds the limit {MAX_WORD_COST}"),
+        (("", "--delta-power", "817"), f"= 4004934 exceeds the limit {MAX_WORD_COST}"),
+    ])
+    def test_oversized_word_exits_2_without_allocating(self, capsys, no_burau,
+                                                       argv, message):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "invariants", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert message in err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        (f"2^{MAX_WORD_LETTERS}",),
+        ("1^20000",),
+        ("", "--delta-power", "816"),  # (0 + 2*816) syllables x 2448 letters
+        (" ".join(["1 2"] * 1000),),  # 2000 syllables x 2000 letters
+    ])
+    def test_word_limits_are_inclusive(self, capsys, argv):
+        code, out, _ = run(capsys, "invariants", *argv)
+        assert code == 0 and out.startswith("word = ")
+
+    def test_verify_range_limit(self, capsys, no_enumeration):
+        code, out, err = run(capsys, "verify", "--tmin", str(-MAX_ABS_T),
+                             "--tmax", str(MAX_ABS_T))
+        assert code == 2 and out == ""
+        assert f"exceeds the limit {MAX_VERIFY_ABS_T_SUM}" in err
+
+    def test_verify_range_limit_is_inclusive(self, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(t, n):
+            raise Reached
+
+        monkeypatch.setattr(counts, "check_main_identity", reached)
+        # sum(range(3, 2449)) = 2997573 is within the limit; adding 2449 is not.
+        with pytest.raises(Reached):
+            main(["verify", "--tmin", "3", "--tmax", "2448"])
+        code, _, err = run(capsys, "verify", "--tmin", "-2449", "--tmax", "-3")
+        assert code == 2 and "= 3000022 exceeds the limit" in err
 
     def test_census_length_limit(self, capsys):
         code, out, err = run(capsys, "census", "3", "0", "--max-len", "40")

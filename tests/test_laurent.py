@@ -84,6 +84,15 @@ class TestExactDiv:
         with pytest.raises(NonDivisibleError):
             (ONE + Q).exact_div(CYCLOTOMIC3)
 
+    def test_leading_coefficient_does_not_divide(self):
+        with pytest.raises(NonDivisibleError, match="leading coefficient"):
+            (ONE + Q).exact_div(ONE + 2 * Q)
+
+    def test_remainder_only_below_divisor_degree(self):
+        # (1 + q + q^2) q^2 + 1: every leading term divides, remainder 1.
+        with pytest.raises(NonDivisibleError, match="lower degree"):
+            (CYCLOTOMIC3 * HalfLaurent.q_power(2) + ONE).exact_div(CYCLOTOMIC3)
+
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             ONE.exact_div(ZERO)
