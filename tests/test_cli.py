@@ -1,7 +1,12 @@
 """Tests for the command-line surface: output formats and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +316,94 @@ class TestJsonRoundTrip:
         payload = json.loads(out)
         assert json.dumps(payload, indent=2) + "\n" == out
         assert payload["schema"] == "bqf-braid/1"
+
+
+class TestVerifyFailure:
+    @pytest.fixture(autouse=True)
+    def failing_identity(self, monkeypatch):
+        def failing(t, n):
+            rows = tuple(counts.CountsRow(t, n + j, 0, 0, 0) for j in range(12))
+            return counts.MainIdentityReport(t, n, 1, 0, rows, False)
+
+        monkeypatch.setattr(counts, "check_main_identity", failing)
+
+    def test_every_format_reports_the_failure(self, capsys):
+        argv = ("verify", "--tmin", "3", "--tmax", "4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == "FAILURES PRESENT"
+        assert "t=3 n=-24 h=1 window=0 FAIL" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1 and payload["pass"] is False
+        assert [r["pass"] for r in payload["results"]] == [False, False]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 25
+        assert all(line.endswith(",1,0,false") for line in lines[1:])
+
+
+# --- golden outputs ---------------------------------------------------------
+#
+# cli_golden.json maps each argv of golden_argvs() to a digest of its exit
+# status, stdout and stderr.  Regenerate it, only when an output change is
+# intended, with:  PYTHONPATH=src python tests/test_cli.py
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+FORMATS = ((), ("--format", "json"), ("--format", "csv"))
+
+
+def golden_argvs() -> list[tuple[str, ...]]:
+    """Every subcommand in every format over small inputs and error paths."""
+    cases: list[tuple[str, ...]] = []
+    for t in range(-7, 8):
+        cases += [(command, str(t)) for command in ("h", "forms", "classes")]
+    for t in (-7, -3, 0, 1, 2, 3, 7):
+        for n in sorted({-4, 0, 1, t - 3}):
+            cases += [("counts", str(t), str(n)), ("m", str(t), str(n))]
+    for t, n in ((3, 0), (-5, 1), (0, -4), (7, 4), (2, 0)):
+        cases += [("census", str(t), str(n), "--max-len", str(length))
+                  for length in (1, 3, 6)]
+    for word in ("", "1 2", "1 -2", "1^3 2", "-1^2 2^-3 1", "2 1 2 1 2 1",
+                 "1 3", "1^"):
+        cases += [("invariants", word), ("invariants", word, "--delta-power", "2"),
+                  ("invariants", word, "--delta-power", "-2")]
+    for tmin, tmax, window in ((-3, 3, ()), (-7, -4, ()), (2, 2, ()), (5, 3, ()),
+                               (1, 4, ("--n", "0")), (-4, -1, ("--n", "-4"))):
+        cases.append(("verify", "--tmin", str(tmin), "--tmax", str(tmax), *window))
+    big = str(MAX_ABS_T + 1)
+    cases += [("h", big), ("forms", "-" + big), ("classes", big),
+              ("counts", big, "0"), ("m", "-" + big, "0"),
+              ("census", big, "0", "--max-len", "2"),
+              ("census", "3", "0", "--max-len", "15"),
+              ("verify", "--tmin", "3", "--tmax", big),
+              ("verify", "--tmin", "-2449", "--tmax", "-3"),
+              ("invariants", f"1^{MAX_WORD_LETTERS + 1}"),
+              ("invariants", "", "--delta-power", "817"),
+              ("invariants", " ".join(["1 2"] * 1001))]
+    return [case + fmt for case in cases for fmt in FORMATS]
+
+
+def golden_digest(argv: tuple[str, ...]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_golden_outputs():
+    golden = json.loads(GOLDEN.read_text())
+    argvs = golden_argvs()
+    assert sorted(golden) == sorted(shlex.join(argv) for argv in argvs)
+    changed = [shlex.join(argv) for argv in argvs
+               if golden_digest(argv) != golden[shlex.join(argv)]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({shlex.join(argv): golden_digest(argv)
+                                  for argv in golden_argvs()}, indent=0) + "\n")
