@@ -23,8 +23,8 @@ from .counts import (ClassWithExponent, CountsRow, LinkCountError,
 from .laurent import (GaussInt, HalfLaurent, NonDivisibleError, monomial_pow)
 from .quadforms import (FormClassKey, QForm, act, class_number,
                         enumerate_classes, equivalent, form_of_matrix,
-                        matrix_of_form, reduce)
-from .sl2z import Mat2Z, decompose_st, exponent_mod12, is_conjugate, st_product
+                        is_conjugate, matrix_of_form, reduce)
+from .sl2z import Mat2Z, decompose_st, exponent_mod12, st_product
 
 __version__ = "1.0.0"
 

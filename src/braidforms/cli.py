@@ -1,9 +1,10 @@
 """Command-line surface for every pipeline in the package.
 
 Subcommands: h, forms, classes, invariants, counts, m, census, verify.
-Every JSON document carries the top-level key "schema": "bqf-braid/1".
-Exit status is 0 on success, 1 if any verification cell fails, and 2
-for invalid input.
+Each returns one Record, which main renders as text, JSON or CSV; every
+JSON document carries the top-level key "schema": "bqf-braid/1".  Exit
+status is 0 on success, 1 if any verification cell fails or stdout is
+closed before all output is written (as by `| head`), 2 for bad input.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from dataclasses import dataclass
+from functools import cache
 
 from . import birman_menasco, braid3, counts, quadforms
 
@@ -37,151 +41,94 @@ MAX_WORD_LETTERS = 10**5
 MAX_WORD_COST = 4 * 10**6
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
+@dataclass(frozen=True)
+class Record:
+    """One command's result, ready for every output format."""
+
+    payload: dict  # the JSON document without "schema" and "command"
+    header: list[str]  # CSV header
+    rows: list  # CSV rows
+    lines: list[str]  # text output, one entry per line
+    status: int = 0
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _cell(fields: dict, *lines: str, **extra) -> Record:
+    """A one-row record whose text starts with a "key=value ..." line."""
+    text = " ".join(f"{key}={value}" for key, value in fields.items())
+    return Record({**fields, **extra}, list(fields), [list(fields.values())],
+                  [text, *lines])
 
 
-def _parse_word(args: argparse.Namespace) -> braid3.BraidWord:
+def _cmd_h(args: argparse.Namespace) -> Record:
+    value = quadforms.class_number(args.t)
+    return Record({"t": args.t, "h": value}, ["t", "h"], [[args.t, value]],
+                  [str(value)])
+
+
+def _cmd_forms(args: argparse.Namespace) -> Record:
+    forms = sorted(form for key in quadforms.enumerate_classes(args.t)
+                   for form in key.cycle or [key.rep])
+    rows = [list(f) for f in forms]
+    return Record({"t": args.t, "discriminant": args.t * args.t - 4, "forms": rows},
+                  ["a", "b", "c"], rows, [f"{a} {b} {c}" for a, b, c in forms])
+
+
+def _cmd_classes(args: argparse.Namespace) -> Record:
+    classes = counts.trace_classes(args.t)
+    return Record(
+        {"t": args.t, "h": len(classes),
+         "classes": [{**c.key.to_json(), "exponent_mod12": c.residue}
+                     for c in classes]},
+        ["a", "b", "c", "discriminant", "exponent_mod12"],
+        [[*c.key.rep, c.key.disc, c.residue] for c in classes],
+        [f"repr={c.key.rep} disc={c.key.disc} exponent_mod12={c.residue}"
+         for c in classes])
+
+
+def _cmd_invariants(args: argparse.Namespace) -> Record:
     word = braid3.BraidWord.parse(args.word)
     k = args.delta_power
     if k > 0:
         word = braid3.garside_power(k) * word
     elif k < 0:
         word = braid3.BraidWord((-1, -2, -1) * (-k)) * word
-    return word
-
-
-def _cmd_h(args: argparse.Namespace) -> int:
-    value = quadforms.class_number(args.t)
-    if args.format == "json":
-        _emit_json({"command": "h", "t": args.t, "h": value})
-    elif args.format == "csv":
-        _emit_csv(["t", "h"], [[args.t, value]])
-    else:
-        print(value)
-    return 0
-
-
-def _cmd_forms(args: argparse.Namespace) -> int:
-    keys = quadforms.enumerate_classes(args.t)
-    forms: list[tuple[int, int, int]] = []
-    for key in keys:
-        forms.extend(key.cycle if key.cycle else [key.rep])
-    forms.sort()
-    if args.format == "json":
-        _emit_json({"command": "forms", "t": args.t,
-                    "discriminant": args.t * args.t - 4,
-                    "forms": [list(f) for f in forms]})
-    elif args.format == "csv":
-        _emit_csv(["a", "b", "c"], [list(f) for f in forms])
-    else:
-        for f in forms:
-            print(f"{f[0]} {f[1]} {f[2]}")
-    return 0
-
-
-def _cmd_classes(args: argparse.Namespace) -> int:
-    classes = counts.trace_classes(args.t)
-    if args.format == "json":
-        _emit_json({"command": "classes", "t": args.t,
-                    "h": len(classes),
-                    "classes": [{**c.key.to_json(), "exponent_mod12": c.residue}
-                                for c in classes]})
-    elif args.format == "csv":
-        _emit_csv(["a", "b", "c", "discriminant", "exponent_mod12"],
-                  [[*c.key.rep, c.key.disc, c.residue] for c in classes])
-    else:
-        for c in classes:
-            print(f"repr=({c.key.rep[0]}, {c.key.rep[1]}, {c.key.rep[2]}) "
-                  f"disc={c.key.disc} exponent_mod12={c.residue}")
-    return 0
-
-
-def _cmd_invariants(args: argparse.Namespace) -> int:
-    word = _parse_word(args)
     eps = braid3.exponent_sum(word)
     tr = braid3.trace_b3(word)
     mat = braid3.phi(word)
     alex = braid3.alexander(word)
     jon = braid3.jones(word)
     special = braid3.special_value(word)
-    if args.format == "json":
-        _emit_json({"command": "invariants", "word": word.render(),
-                    "eps": eps, "trace": tr, "phi": mat.as_rows(),
-                    "alexander": alex.render(), "jones": jon.render(),
-                    "special_value": {"re": special.re, "im": special.im}})
-    elif args.format == "csv":
-        _emit_csv(["key", "value"],
-                  [["word", word.render()], ["eps", eps], ["trace", tr],
-                   ["phi", json.dumps(mat.as_rows())],
-                   ["alexander", alex.render()], ["jones", jon.render()],
-                   ["special_value", str(special)]])
-    else:
-        print(f"word = {word.render()}")
-        print(f"eps = {eps}")
-        print(f"trace = {tr}")
-        print(f"phi = {mat}")
-        print(f"alexander = {alex.render()}")
-        print(f"jones = {jon.render()}")
-        print(f"special_value = {special}")
-    return 0
+    # csv writes str(mat), which is also the JSON text of mat.as_rows().
+    pairs = [("word", word.render()), ("eps", eps), ("trace", tr), ("phi", mat),
+             ("alexander", alex.render()), ("jones", jon.render()),
+             ("special_value", special)]
+    return Record({**dict(pairs), "phi": mat.as_rows(),
+                   "special_value": {"re": special.re, "im": special.im}},
+                  ["key", "value"], pairs, [f"{key} = {value}" for key, value in pairs])
 
 
-def _cmd_counts(args: argparse.Namespace) -> int:
-    row = counts.counts_row(args.t, args.n)
-    if args.format == "json":
-        _emit_json({"command": "counts", **row.to_json()})
-    elif args.format == "csv":
-        _emit_csv(["t", "n", "x_count", "m", "p"],
-                  [[row.t, row.n, row.x_count, row.m, row.p]])
-    else:
-        print(f"t={row.t} n={row.n} x_count={row.x_count} m={row.m} p={row.p}")
-    return 0
+def _cmd_counts(args: argparse.Namespace) -> Record:
+    return _cell(counts.counts_row(args.t, args.n).to_json())
 
 
-def _cmd_m(args: argparse.Namespace) -> int:
+def _cmd_m(args: argparse.Namespace) -> Record:
     m_prime = birman_menasco.shared_closure_count(args.t, args.n)
     m = birman_menasco.class_excess(args.t, args.n)
     wits = birman_menasco.witnesses(args.t, args.n)
-    if args.format == "json":
-        _emit_json({"command": "m", "t": args.t, "n": args.n,
-                    "m_prime": m_prime, "m": m,
-                    "witnesses": [w.to_json() for w in wits]})
-    elif args.format == "csv":
-        _emit_csv(["t", "n", "m_prime", "m"], [[args.t, args.n, m_prime, m]])
-    else:
-        print(f"t={args.t} n={args.n} m_prime={m_prime} m={m}")
-        for w in wits:
-            words = " | ".join(word.render() for word in w.words)
-            print(f"  {w.family} params={list(w.params)} words: {words}")
-    return 0
+    lines = [f"  {w.family} params={list(w.params)} words: "
+             + " | ".join(word.render() for word in w.words) for w in wits]
+    return _cell({"t": args.t, "n": args.n, "m_prime": m_prime, "m": m}, *lines,
+                 witnesses=[w.to_json() for w in wits])
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: argparse.Namespace) -> Record:
     lower = counts.braid_census(args.t, args.n, args.max_len)
     exact = counts.class_count(args.t, args.n)
-    if args.format == "json":
-        _emit_json({"command": "census", "t": args.t, "n": args.n,
-                    "max_len": args.max_len, "census": lower,
-                    "x_count": exact, "gap": exact - lower})
-    elif args.format == "csv":
-        _emit_csv(["t", "n", "max_len", "census", "x_count", "gap"],
-                  [[args.t, args.n, args.max_len, lower, exact, exact - lower]])
-    else:
-        print(f"t={args.t} n={args.n} max_len={args.max_len} "
-              f"census={lower} x_count={exact} gap={exact - lower}")
-    return 0
+    return _cell({"t": args.t, "n": args.n, "max_len": args.max_len,
+                  "census": lower, "x_count": exact, "gap": exact - lower})
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Record:
     if args.tmin > args.tmax:
         raise ValueError("empty t range")
     results = []
@@ -193,88 +140,59 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n = args.n if args.n is not None else counts.default_sweep_exponent(t)
         results.append(counts.check_main_identity(t, n))
     all_ok = all(r.ok for r in results)
-    if args.format == "json":
-        _emit_json({"command": "verify", "tmin": args.tmin, "tmax": args.tmax,
-                    "skipped_t": skipped, "pass": all_ok,
-                    "results": [r.to_json() for r in results]})
-    elif args.format == "csv":
-        rows = []
-        for r in results:
-            for row in r.rows:
-                rows.append([row.t, row.n, row.x_count, row.m, row.p,
-                             r.h, r.window_total, str(r.ok).lower()])
-        _emit_csv(["t", "n", "x_count", "m", "p", "h_lhs", "window_rhs", "pass"],
-                  rows)
-    else:
-        for t in skipped:
-            print(f"t={t}: skipped (t = +-2 excluded)")
-        for r in results:
-            status = "pass" if r.ok else "FAIL"
-            print(f"t={r.t} n={r.n} h={r.h} window={r.window_total} {status}")
-        print("all pass" if all_ok else "FAILURES PRESENT")
-    return 0 if all_ok else 1
+    return Record(
+        {"tmin": args.tmin, "tmax": args.tmax, "skipped_t": skipped,
+         "pass": all_ok, "results": [r.to_json() for r in results]},
+        ["t", "n", "x_count", "m", "p", "h_lhs", "window_rhs", "pass"],
+        [[row.t, row.n, row.x_count, row.m, row.p, r.h, r.window_total,
+          str(r.ok).lower()] for r in results for row in r.rows],
+        [f"t={t}: skipped (t = +-2 excluded)" for t in skipped]
+        + [f"t={r.t} n={r.n} h={r.h} window={r.window_total} "
+           f"{'pass' if r.ok else 'FAIL'}" for r in results]
+        + ["all pass" if all_ok else "FAILURES PRESENT"],
+        0 if all_ok else 1)
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_T, _N = _arg("t", type=int), _arg("n", type=int)
+
+#: name -> (handler, help, arguments); every command also takes --format.
+COMMANDS = {
+    "h": (_cmd_h, "class number of discriminant t^2 - 4", [_T]),
+    "forms": (_cmd_forms, "all reduced forms of discriminant t^2 - 4", [_T]),
+    "classes": (_cmd_classes, "form classes with exponent residues", [_T]),
+    "invariants": (_cmd_invariants, "invariants of a braid closure", [
+        _arg("word", help="braid word, e.g. '1 2 -1' or '1^3 2'"),
+        _arg("--delta-power", type=int, default=0, metavar="K",
+             help="prepend (s1 s2 s1)^K (negative K uses inverse letters)")]),
+    "counts": (_cmd_counts, "x_count, m, p for one (t, n) cell", [_T, _N]),
+    "m": (_cmd_m, "fiber corrections and witnesses for a cell", [_T, _N]),
+    "census": (_cmd_census, "braid word census lower bound for a cell", [
+        _T, _N, _arg("--max-len", type=int, default=12, metavar="L")]),
+    "verify": (_cmd_verify, "check the main identity over a t range", [
+        _arg("--tmin", type=int, required=True),
+        _arg("--tmax", type=int, required=True),
+        _arg("--n", type=int, default=None,
+             help="window start (default: -|t-3| - 24 per t)")]),
+}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidforms",
         description="Braid closures, quadratic form classes, and the counting "
                     "identity between them.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
-
-    p = sub.add_parser("h", help="class number of discriminant t^2 - 4")
-    p.add_argument("t", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_h)
-
-    p = sub.add_parser("forms", help="all reduced forms of discriminant t^2 - 4")
-    p.add_argument("t", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_forms)
-
-    p = sub.add_parser("classes", help="form classes with exponent residues")
-    p.add_argument("t", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_classes)
-
-    p = sub.add_parser("invariants", help="invariants of a braid closure")
-    p.add_argument("word", help="braid word, e.g. '1 2 -1' or '1^3 2'")
-    p.add_argument("--delta-power", type=int, default=0, metavar="K",
-                   help="prepend (s1 s2 s1)^K (negative K uses inverse letters)")
-    add_format(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("counts", help="x_count, m, p for one (t, n) cell")
-    p.add_argument("t", type=int)
-    p.add_argument("n", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_counts)
-
-    p = sub.add_parser("m", help="fiber corrections and witnesses for a cell")
-    p.add_argument("t", type=int)
-    p.add_argument("n", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_m)
-
-    p = sub.add_parser("census", help="braid word census lower bound for a cell")
-    p.add_argument("t", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--max-len", type=int, default=12, metavar="L")
-    add_format(p)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("verify", help="check the main identity over a t range")
-    p.add_argument("--tmin", type=int, required=True)
-    p.add_argument("--tmax", type=int, required=True)
-    p.add_argument("--n", type=int, default=None,
-                   help="window start (default: -|t-3| - 24 per t)")
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 
@@ -284,9 +202,8 @@ def _check_limits(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and abs(value) > MAX_ABS_T:
             raise ValueError(f"|{name}| = {abs(value)} exceeds the limit {MAX_ABS_T}")
-    max_len = getattr(args, "max_len", None)
-    if max_len is not None and max_len > MAX_CENSUS_LEN:
-        raise ValueError(f"--max-len {max_len} exceeds the limit {MAX_CENSUS_LEN}")
+    if getattr(args, "max_len", 0) > MAX_CENSUS_LEN:
+        raise ValueError(f"--max-len {args.max_len} exceeds the limit {MAX_CENSUS_LEN}")
     if args.command == "verify" and args.tmin <= args.tmax:
         total = sum(map(abs, range(args.tmin, args.tmax + 1)))
         if total > MAX_VERIFY_ABS_T_SUM:
@@ -307,15 +224,36 @@ def _check_limits(args: argparse.Namespace) -> None:
                              f"{MAX_WORD_COST}")
 
 
+def _render(record: Record, command: str, fmt: str) -> str:
+    if fmt == "json":
+        doc = {"schema": SCHEMA, "command": command, **record.payload}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(record.header)
+        writer.writerows(record.rows)
+        return buf.getvalue()
+    return "".join(f"{line}\n" for line in record.lines)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_limits(args)
-        return args.func(args)
+        record = COMMANDS[args.command][0](args)
     except (ValueError, counts.LinkCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(_render(record, args.command, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so that the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return record.status
 
 
 if __name__ == "__main__":

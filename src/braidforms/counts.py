@@ -62,7 +62,7 @@ class LinkCountError(RuntimeError):
         self.m = m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
     """All trace-t classes, one per form class, tagged with residues.
 
@@ -159,19 +159,14 @@ _GEN_STEPS = (
     ((1, 0, 1, 1), -1, 3, 2),
 )
 
-_census_tables: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-_key_memo: dict[tuple[int, int, int, int], FormClassKey] = {}
 
-
+@lru_cache(maxsize=1 << 16)
 def _matrix_class_key(m: tuple[int, int, int, int]) -> FormClassKey:
-    key = _key_memo.get(m)
-    if key is None:
-        a, b, c, d = m
-        key = quadforms.reduce(QForm(b, d - a, -c))
-        _key_memo[m] = key
-    return key
+    a, b, c, d = m
+    return quadforms.reduce(QForm(b, d - a, -c))
 
 
+@lru_cache(maxsize=4)
 def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tuple[int, int], int]:
     """Distinct-class counts per (t, n) cell from words up to max_len.
 
@@ -181,10 +176,6 @@ def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tu
     together with the exact exponent sum.  Cells with |t| or |n| above
     the bounds, or t = +-2, are not tracked.
     """
-    cache_key = (max_len, trace_bound, exponent_bound)
-    table = _census_tables.get(cache_key)
-    if table is not None:
-        return table
     cells: dict[tuple[int, int], set[FormClassKey]] = {}
 
     def visit(m: tuple[int, int, int, int], eps: int, depth: int, last: int) -> None:
@@ -201,9 +192,7 @@ def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tu
                   eps + step, depth + 1, letter)
 
     visit((1, 0, 0, 1), 0, 0, -1)
-    table = {cell: len(keys) for cell, keys in cells.items()}
-    _census_tables[cache_key] = table
-    return table
+    return {cell: len(keys) for cell, keys in cells.items()}
 
 
 def braid_census(t: int, n: int, max_len: int) -> int:

@@ -4,7 +4,7 @@ Covers the SL2(Z) substitution action, Gauss reduction (unique reduced
 representative for definite forms, reduced cycles for indefinite ones),
 class enumeration and class numbers, and the classical correspondence
 between trace-t conjugacy classes and form classes of discriminant
-t^2 - 4, in both directions.
+t^2 - 4, in both directions, with the conjugacy test it gives.
 
 For t != +-2 the discriminant t^2 - 4 is never zero or a perfect
 square, so all forms in this pipeline have a != 0 and c != 0.  Both
@@ -182,6 +182,20 @@ def equivalent(f: QForm, g: QForm) -> bool:
     return reduce(f) == reduce(g)
 
 
+def is_conjugate(m: Mat2Z, n: Mat2Z) -> bool:
+    """Decide SL2(Z) conjugacy for matrices of shared trace t != +-2.
+
+    Routes through the trace-t matrices <-> discriminant t^2-4 form
+    classes correspondence: conjugate matrices yield equivalent forms
+    and vice versa.
+    """
+    if m.trace() in (2, -2) or n.trace() in (2, -2):
+        raise ValueError("trace +-2 (parabolic/central) is not supported")
+    if m.trace() != n.trace():
+        return False
+    return equivalent(form_of_matrix(m), form_of_matrix(n))
+
+
 def _primes_upto(n: int) -> list[int]:
     """The primes p <= n, n >= 1, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * (n + 1)
@@ -277,7 +291,7 @@ def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     """All form classes of discriminant t^2 - 4, for t != +-2.
 

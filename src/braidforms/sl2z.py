@@ -1,4 +1,4 @@
-"""Exact SL2(Z) arithmetic, generator decomposition, and conjugacy.
+"""Exact SL2(Z) arithmetic and generator decomposition.
 
 The group is generated by S = [[1,1],[0,1]] and T = [[1,0],[-1,1]],
 subject to STS = TST and (ST)^6 = I.  Abelianizing that presentation
@@ -137,19 +137,3 @@ def exponent_mod12(m: Mat2Z) -> int:
     """
     return sum(p for _, p in decompose_st(m)) % 12
 
-
-def is_conjugate(m: Mat2Z, n: Mat2Z) -> bool:
-    """Decide SL2(Z) conjugacy for matrices of shared trace t != +-2.
-
-    Routes through the trace-t matrices <-> discriminant t^2-4 form
-    classes correspondence: conjugate matrices yield equivalent forms
-    and vice versa.
-    """
-    if m.trace() in (2, -2) or n.trace() in (2, -2):
-        raise ValueError("trace +-2 (parabolic/central) is not supported")
-    if m.trace() != n.trace():
-        return False
-    from . import quadforms
-
-    return quadforms.equivalent(quadforms.form_of_matrix(m),
-                                quadforms.form_of_matrix(n))

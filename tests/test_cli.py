@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +15,9 @@ import pytest
 
 from braidforms import braid3, counts, quadforms
 from braidforms.cli import (MAX_ABS_T, MAX_VERIFY_ABS_T_SUM, MAX_WORD_COST,
-                            MAX_WORD_LETTERS, main)
+                            MAX_WORD_LETTERS, build_parser, main)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -341,6 +346,36 @@ class TestVerifyFailure:
         lines = out.splitlines()
         assert code == 1 and len(lines) == 25
         assert all(line.endswith(",1,0,false") for line in lines[1:])
+
+
+class TestMainCalls:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_do_not_leak_into_each_other(self, capsys):
+        argv = ("verify", "--tmin", "3", "--tmax", "4")
+        _, out, _ = run(capsys, *argv, "--n", "0", "--format", "json")
+        assert [r["n"] for r in json.loads(out)["results"]] == [0, 0]
+        _, out, _ = run(capsys, *argv)
+        assert out.splitlines() == ["t=3 n=-24 h=1 window=1 pass",
+                                    "t=4 n=-25 h=2 window=2 pass", "all pass"]
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # 600 kB of forms cannot fit in a pipe buffer, so the writer is
+        # still writing when the reader goes away.  The child keeps the
+        # default buffered stdout: unbuffered (PYTHONUNBUFFERED), CPython's
+        # text layer drops the rest of a short pipe write without an error.
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "braidforms.cli", "forms", "20000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first == b"-19998 19998 1\n" and err == b""
 
 
 # --- golden outputs ---------------------------------------------------------

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from braidforms import braid3
+from braidforms.quadforms import is_conjugate
 from braidforms.sl2z import (IDENTITY, Mat2Z, S, T, decompose_st,
-                             exponent_mod12, gen_power, is_conjugate,
-                             st_product)
+                             exponent_mod12, gen_power, st_product)
 from oracles import (conjugacy_components, rademacher_residue, random_word,
                      sl2_ball, trace_t_matrices)
 
