@@ -92,7 +92,7 @@ def family_iv_trace_exp(u: int, v: int, w: int, k: int) -> tuple[int, int]:
     return (sign * (2 + 3 * e1 + 2 * e2 + e3), e1 - 3 + 6 * k)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int], ...]:
     """All normalized family parameter sets of trace t, with exponents.
 

@@ -62,7 +62,7 @@ class LinkCountError(RuntimeError):
         self.m = m
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
     """All trace-t classes, one per form class, tagged with residues.
 
@@ -160,7 +160,9 @@ _GEN_STEPS = (
 )
 
 
-@lru_cache(maxsize=1 << 16)
+# Room for every element of the radius-14 ball (188,217), the deepest
+# census the CLI allows, so that one walk never evicts its own keys.
+@lru_cache(maxsize=1 << 18)
 def _matrix_class_key(m: tuple[int, int, int, int]) -> FormClassKey:
     a, b, c, d = m
     return quadforms.reduce(QForm(b, d - a, -c))

@@ -291,7 +291,9 @@ def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=16)
+# Few entries: callers reuse one t (or t and -t) at a time, and at large
+# |t| one entry takes megabytes.
+@lru_cache(maxsize=4)
 def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     """All form classes of discriminant t^2 - 4, for t != +-2.
 

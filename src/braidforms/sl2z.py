@@ -136,4 +136,3 @@ def exponent_mod12(m: Mat2Z) -> int:
     of braid words it reduces the braid exponent sum mod 12.
     """
     return sum(p for _, p in decompose_st(m)) % 12
-
