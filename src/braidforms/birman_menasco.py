@@ -101,6 +101,8 @@ def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int
     terms positive after the (-1)^k sign, which bounds every parameter
     by |t| and fixes the usable k values by the sign of t.
     """
+    if t in (2, -2):
+        raise ValueError("t = +-2 is excluded")
     sols = []
     for k in (0, 1):
         target = (t if k == 0 else -t) - 2  # (u+w)(1+v) + uvw

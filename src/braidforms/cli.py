@@ -26,7 +26,7 @@ SCHEMA = "bqf-braid/1"
 #: memory near linear in |t|; at this bound one enumeration takes about a
 #: second.
 MAX_ABS_T = 10**5
-#: Largest census word length; the census walk grows about 3x per letter.
+#: Largest census word length; the census state ball about doubles per letter.
 MAX_CENSUS_LEN = 14
 #: Largest sum of |t| over a verify range.  One t costs time about
 #: proportional to |t| (a little more per unit at large |t|); a range at

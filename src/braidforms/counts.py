@@ -13,17 +13,18 @@ identity h(t) = sum over a 12-window of (p + M) then ties the two ends
 together; a cell where the subtraction would go negative falsifies the
 data and raises instead of passing silently.
 
-An independent census pipeline enumerates braid words directly,
-buckets them by (form class of the integer matrix image, exponent sum),
-and yields certified lower bounds for x_count that converge from below.
+An independent census pipeline searches the braid words up to a given
+length breadth first, as states (integer matrix image, exponent sum),
+buckets them by (form class of the matrix, exponent sum), and yields
+certified lower bounds for x_count that converge from below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
-from . import birman_menasco, quadforms, sl2z
+from . import birman_menasco, braid3, quadforms, sl2z
 from .quadforms import FormClassKey, QForm
 
 
@@ -149,51 +150,48 @@ def check_window_symmetry(t: int, n: int) -> SymmetryReport:
     return SymmetryReport(t, n, lhs, rhs, lhs == rhs)
 
 
-# --- braid word census -------------------------------------------------
+# --- braid census ------------------------------------------------------
 
-_GEN_STEPS = (
-    # (matrix as (a, b, c, d), exponent step, letter id, inverse letter id)
-    ((1, 1, 0, 1), 1, 0, 1),
-    ((1, -1, 0, 1), -1, 1, 0),
-    ((1, 0, -1, 1), 1, 2, 3),
-    ((1, 0, 1, 1), -1, 3, 2),
-)
-
-
-# Room for every element of the radius-14 ball (188,217), the deepest
-# census the CLI allows, so that one walk never evicts its own keys.
-@lru_cache(maxsize=1 << 18)
-def _matrix_class_key(m: tuple[int, int, int, int]) -> FormClassKey:
-    a, b, c, d = m
-    return quadforms.reduce(QForm(b, d - a, -c))
+# Right multiplication by each letter: its matrix image and exponent.
+_LETTERS = [braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS]
+_STEPS = tuple((astuple(braid3.phi(w)), braid3.exponent_sum(w)) for w in _LETTERS)
 
 
 @lru_cache(maxsize=4)
 def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tuple[int, int], int]:
     """Distinct-class counts per (t, n) cell from words up to max_len.
 
-    Walks all freely reduced words (a letter never follows its inverse;
-    free reduction preserves the group element, so nothing reachable is
-    missed) and collects the class key of the integer matrix image
-    together with the exact exponent sum.  Cells with |t| or |n| above
+    A breadth-first search over states (a, b, c, d, eps), the integer
+    matrix image and exponent sum of a word.  A state fixes t, n and the
+    class key, so words that reach one state are counted once.  Level k
+    holds the states first reached by k letters; the letters are closed
+    under inverses, so a neighbour of level k lies on level k - 1, k or
+    k + 1, and two stored levels find the next one.  The deepest level is
+    streamed into the cells, never stored.  Cells with |t| or |n| above
     the bounds, or t = +-2, are not tracked.
     """
     cells: dict[tuple[int, int], set[FormClassKey]] = {}
 
-    def visit(m: tuple[int, int, int, int], eps: int, depth: int, last: int) -> None:
-        t = m[0] + m[3]
-        if abs(t) <= trace_bound and abs(eps) <= exponent_bound and t not in (2, -2):
-            cells.setdefault((t, eps), set()).add(_matrix_class_key(m))
-        if depth == max_len:
-            return
-        a, b, c, d = m
-        for (e, f, g, h), step, letter, inverse in _GEN_STEPS:
-            if inverse == last:
-                continue
-            visit((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
-                  eps + step, depth + 1, letter)
+    def neighbours(previous: set, level: set):
+        """States one letter beyond level, with repeats."""
+        for a, b, c, d, eps in level:
+            for (e, f, g, h), step in _STEPS:
+                state = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, eps + step)
+                if state not in previous and state not in level:
+                    yield state
 
-    visit((1, 0, 0, 1), 0, 0, -1)
+    def record(states) -> None:
+        for a, b, c, d, eps in states:
+            t = a + d
+            if abs(t) <= trace_bound and abs(eps) <= exponent_bound and t not in (2, -2):
+                cells.setdefault((t, eps), set()).add(quadforms.reduce(QForm(b, d - a, -c)))
+
+    previous, level = set(), {(1, 0, 0, 1, 0)}
+    for depth in range(1, max_len + 1):
+        record(level)
+        following = neighbours(previous, level)
+        previous, level = level, set(following) if depth < max_len else following
+    record(level)
     return {cell: len(keys) for cell, keys in cells.items()}
 
 

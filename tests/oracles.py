@@ -13,10 +13,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from braidforms import sl2z
+from braidforms import quadforms, sl2z
 from braidforms.braid3 import BraidWord, BurauMat
 from braidforms.laurent import NEG_Q, ONE, ZERO, HalfLaurent
-from braidforms.quadforms import QForm
+from braidforms.quadforms import FormClassKey, QForm
 from braidforms.sl2z import Mat2Z
 
 _GEN_TUPLES = (
@@ -211,3 +211,49 @@ def phi(w: BraidWord) -> sl2z.Mat2Z:
     for letter in w.letters:
         m = m * _PHI_GEN[letter]
     return m
+
+
+# Word-by-word census: every freely reduced word up to max_len, walked
+# recursively with its own generator table.  Class keys come from
+# quadforms.reduce, uncached.
+_GEN_STEPS = (
+    # (matrix as (a, b, c, d), exponent step, letter id, inverse letter id)
+    ((1, 1, 0, 1), 1, 0, 1),
+    ((1, -1, 0, 1), -1, 1, 0),
+    ((1, 0, -1, 1), 1, 2, 3),
+    ((1, 0, 1, 1), -1, 3, 2),
+)
+
+
+def _matrix_class_key(m: tuple[int, int, int, int]) -> FormClassKey:
+    a, b, c, d = m
+    return quadforms.reduce(QForm(b, d - a, -c))
+
+
+def word_census_table(max_len: int, trace_bound: int,
+                      exponent_bound: int) -> dict[tuple[int, int], int]:
+    """Distinct-class counts per (t, n) cell from words up to max_len.
+
+    Walks all freely reduced words (a letter never follows its inverse;
+    free reduction preserves the group element, so nothing reachable is
+    missed) and collects the class key of the integer matrix image
+    together with the exact exponent sum.  Cells with |t| or |n| above
+    the bounds, or t = +-2, are not tracked.
+    """
+    cells: dict[tuple[int, int], set[FormClassKey]] = {}
+
+    def visit(m: tuple[int, int, int, int], eps: int, depth: int, last: int) -> None:
+        t = m[0] + m[3]
+        if abs(t) <= trace_bound and abs(eps) <= exponent_bound and t not in (2, -2):
+            cells.setdefault((t, eps), set()).add(_matrix_class_key(m))
+        if depth == max_len:
+            return
+        a, b, c, d = m
+        for (e, f, g, h), step, letter, inverse in _GEN_STEPS:
+            if inverse == last:
+                continue
+            visit((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
+                  eps + step, depth + 1, letter)
+
+    visit((1, 0, 0, 1), 0, 0, -1)
+    return {cell: len(keys) for cell, keys in cells.items()}

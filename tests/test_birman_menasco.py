@@ -125,6 +125,14 @@ class TestSharedClosureCount:
         assert (1, 2, 3, 1) in sets
 
 
+class TestExcludedTrace:
+    @pytest.mark.parametrize("function", [shared_closure_count, class_excess, witnesses])
+    @pytest.mark.parametrize("t", [2, -2])
+    def test_rejects_t_plus_minus_2(self, function, t):
+        with pytest.raises(ValueError, match="excluded"):
+            function(t, 0)
+
+
 class TestClassExcess:
     def test_unknot_cells(self):
         assert class_excess(3, 0) == 1

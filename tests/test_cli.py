@@ -160,6 +160,12 @@ class TestM:
         assert payload["m_prime"] == 0 and payload["m"] == 1
         assert payload["witnesses"][0]["words"] == ["1 -2"]
 
+    @pytest.mark.parametrize("argv", [("2", "1"), ("-2", "-1")])
+    def test_excluded_trace(self, capsys, argv):
+        code, out, err = run(capsys, "m", *argv)
+        assert code == 2 and out == ""
+        assert "excluded" in err
+
 
 class TestCensus:
     def test_small_cell(self, capsys):

@@ -11,7 +11,7 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                default_sweep_exponent, link_count,
                                trace_classes)
 from braidforms.sl2z import st_product
-from oracles import rademacher_residue
+from oracles import rademacher_residue, word_census_table
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -154,6 +154,12 @@ class TestCensus:
         for t in [t for t in range(-6, 7) if t not in (-2, 2)]:
             for n in range(-6, 7):
                 assert table.get((t, n), 0) <= class_count(t, n)
+
+    def test_matches_word_walk(self):
+        assert census_table(0, 8, 8) == {}
+        for bounds in ((8, 8), (0, 0), (3, 20), (60, 5), (10**5, 8)):
+            for max_len in range(10):
+                assert census_table(max_len, *bounds) == word_census_table(max_len, *bounds)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
