@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from operator import add, sub
+from operator import sub
 
 from . import sl2z
 from .laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent, NEG_INV_SQRT_Q,
-                      NEG_Q, ONE, SQRT_Q, i_power, monomial_pow)
+                      NEG_Q, ONE, SQRT_Q, dense_add, i_power, monomial_pow)
 
 #: Letters are +-1 and +-2: the generator index, negated for inverses.
 VALID_LETTERS = (1, -1, 2, -2)
@@ -167,10 +167,10 @@ class BurauMat:
         return sl2z.Mat2Z(*values)
 
 
-# Inside burau the entries are dense polynomials in r = -q, stored as
-# (offset, coefficients) for sum(c * r**(offset + i)) with no zero at
-# either end.  With G_n(r) = 1 + r + ... + r**(n-1) and n > 0, the
-# generator powers are, in r and in q:
+# Inside burau the entries are dense polynomials in r = -q, in the
+# (offset, coefficients) layout of laurent.dense_add.  With
+# G_n(r) = 1 + r + ... + r**(n-1) and n > 0, the generator powers are,
+# in r and in q:
 #   s1^n  = [[1, r G_n(r)], [0, r^n]]          = [[1, -q G_n(-q)], [0, (-q)^n]]
 #   s1^-n = [[1, -r^(1-n) G_n(r)], [0, r^-n]]  = [[1, -G_n(-1/q)], [0, (-1/q)^n]]
 #   s2^n  = [[r^n, 0], [-G_n(r), 1]]           = [[(-q)^n, 0], [-G_n(-q), 1]]
@@ -192,32 +192,21 @@ def _syllable_entry(keep: tuple[int, list[int]], moved: tuple[int, list[int]],
     """
     p = n if letter > 0 else -n
     k_off, k = keep
-    k_off += p
     m_off, m = moved
     if not m:
-        return k_off, k
+        return k_off + p, k
     m_off += (abs(letter) == 1) + min(p, 0)
     if n > 1:
         m = list(accumulate(map(sub, m + [0] * (n - 1), [0] * n + m[:-1])))
-    positive = letter in (1, -2)
-    if not k:
-        return m_off, m if positive else [-c for c in m]
-    lo = min(k_off, m_off)
-    hi = max(k_off + len(k), m_off + len(m))
-    out = list(map(add if positive else sub,
-                   [0] * (k_off - lo) + k + [0] * (hi - k_off - len(k)),
-                   [0] * (m_off - lo) + m + [0] * (hi - m_off - len(m))))
-    while out and not out[-1]:
-        out.pop()
-    start = next((i for i, c in enumerate(out) if c), len(out))
-    return lo + start, out[start:]
+    return dense_add(k_off + p, k, m_off, m, 1 if letter in (1, -2) else -1)
 
 
 def _r_to_laurent(entry: tuple[int, list[int]]) -> HalfLaurent:
     """A dense polynomial in r = -q as an element of Z[sqrt(q), 1/sqrt(q)]."""
     off, coeffs = entry
-    return HalfLaurent({2 * e: -c if e & 1 else c
-                        for e, c in enumerate(coeffs, off) if c})
+    s_coeffs = [0] * (2 * len(coeffs) - 1)
+    s_coeffs[::2] = [-c if e & 1 else c for e, c in enumerate(coeffs, off)]
+    return HalfLaurent.from_dense(2 * off, s_coeffs)
 
 
 def burau(w: BraidWord) -> BurauMat:

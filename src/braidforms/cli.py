@@ -139,6 +139,8 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
             continue
         n = args.n if args.n is not None else counts.default_sweep_exponent(t)
         results.append(counts.check_main_identity(t, n))
+    if not results:
+        raise ValueError("no t in the range is checked (t = +-2 is excluded)")
     all_ok = all(r.ok for r in results)
     return Record(
         {"tmin": args.tmin, "tmax": args.tmax, "skipped_t": skipped,
@@ -237,6 +239,25 @@ def _render(record: Record, command: str, fmt: str) -> str:
     return "".join(f"{line}\n" for line in record.lines)
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to stdout, or raise BrokenPipeError.
+
+    Unbuffered (python -u, PYTHONUNBUFFERED), sys.stdout.buffer is the raw
+    file, whose write may take only part of the bytes; the text layer over
+    it drops the rest silently, so the bytes are written here until all are
+    out.  A stream without a buffer, such as a StringIO, takes the text.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[buffer.write(data):]
+    sys.stdout.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -246,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        sys.stdout.write(_render(record, args.command, args.format))
-        sys.stdout.flush()
+        _write_stdout(_render(record, args.command, args.format))
     except BrokenPipeError:
         # The reader left early.  Point stdout at devnull so that the
         # flush at interpreter exit cannot raise again.

@@ -157,7 +157,6 @@ _LETTERS = [braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS]
 _STEPS = tuple((astuple(braid3.phi(w)), braid3.exponent_sum(w)) for w in _LETTERS)
 
 
-@lru_cache(maxsize=4)
 def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tuple[int, int], int]:
     """Distinct-class counts per (t, n) cell from words up to max_len.
 

@@ -1,17 +1,19 @@
 """Exact arithmetic in the ring Z[sqrt(q), 1/sqrt(q)].
 
-Elements are sparse Laurent polynomials in the half-power variable
-s = sqrt(q), stored as a map from integer s-exponent to integer
-coefficient; q itself sits at s-exponent 2.  Coefficients are plain
-Python integers, so there is no overflow to guard against.  Zero
-coefficients are never stored, which makes structural equality agree
-with mathematical equality.
+Elements are Laurent polynomials in the half-power variable s = sqrt(q),
+stored densely: the s-exponent of the lowest term and the coefficients
+from there up, with no zero at either end, so structural equality agrees
+with mathematical equality and memory grows with the exponent span.  q
+itself sits at s-exponent 2.  Coefficients are plain Python integers, so
+there is no overflow to guard against.  The Burau kernel in braid3 shares
+the layout and its addition, dense_add.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from operator import add, sub
 
 
 class NonDivisibleError(ArithmeticError):
@@ -53,15 +55,50 @@ def i_power(n: int) -> GaussInt:
     return GaussInt(re, im)
 
 
-class HalfLaurent:
-    """An element of Z[sqrt(q), 1/sqrt(q)] in canonical sparse form."""
+def dense_add(a_off: int, a: Sequence[int], b_off: int, b: Sequence[int],
+              sign: int = 1) -> tuple[int, list[int]]:
+    """a + sign * b for dense polynomials stored as (offset, coefficients).
 
-    __slots__ = ("_coeffs", "_hash")
+    The pair stands for sum(c * x**(offset + i)).  The result has no zero
+    at either end, and zero is (0, []).
+    """
+    if not b:
+        return a_off, list(a)
+    if not a:
+        return b_off, list(b) if sign > 0 else [-c for c in b]
+    lo = min(a_off, b_off)
+    out = [0] * (max(a_off + len(a), b_off + len(b)) - lo)
+    i, j = a_off - lo, b_off - lo
+    out[i:i + len(a)] = a
+    out[j:j + len(b)] = map(add if sign > 0 else sub, out[j:j + len(b)], b)
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return 0, out
+    start = next(k for k, c in enumerate(out) if c)
+    del out[:start]
+    return lo + start, out
+
+
+class HalfLaurent:
+    """An element of Z[sqrt(q), 1/sqrt(q)] in canonical dense form."""
+
+    __slots__ = ("_off", "_coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = {e: c for e, c in items if c != 0}
+        terms = {e: c for e, c in items if c != 0}
+        self._off = min(terms, default=0)
+        top = max(terms, default=-1)
+        self._coeffs = tuple(terms.get(e, 0) for e in range(self._off, top + 1))
         self._hash = None
+
+    @classmethod
+    def from_dense(cls, offset: int, coeffs: Sequence[int]) -> "HalfLaurent":
+        """Wrap coefficients from s-exponent offset up, with no zero at either end."""
+        res = cls.__new__(cls)
+        res._off, res._coeffs, res._hash = offset if coeffs else 0, tuple(coeffs), None
+        return res
 
     @classmethod
     def from_int(cls, n: int) -> "HalfLaurent":
@@ -74,137 +111,102 @@ class HalfLaurent:
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Coefficients as (s-exponent, coefficient) pairs, exponent-sorted."""
-        return iter(sorted(self._coeffs.items()))
+        return ((e, c) for e, c in enumerate(self._coeffs, self._off) if c)
 
     def coefficient(self, s_exponent: int) -> int:
-        return self._coeffs.get(s_exponent, 0)
+        i = s_exponent - self._off
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def is_zero(self) -> bool:
         return not self._coeffs
 
     def support(self) -> list[int]:
-        return sorted(self._coeffs)
+        return [e for e, _ in self.items()]
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, HalfLaurent):
-            return self._coeffs == other._coeffs
+            return self._off == other._off and self._coeffs == other._coeffs
         if isinstance(other, int):
-            return self._coeffs == ({0: other} if other else {})
+            return self._coeffs == ((other,) if other else ()) and self._off == 0
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._coeffs.items())))
+            self._hash = hash(tuple(self.items()))
         return self._hash
 
     def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({e: -c for e, c in self._coeffs.items()})
+        return HalfLaurent.from_dense(self._off, [-c for c in self._coeffs])
 
-    def __add__(self, other: "HalfLaurent | int") -> "HalfLaurent":
+    def __add__(self, other: "HalfLaurent | int", sign: int = 1) -> "HalfLaurent":
         if isinstance(other, int):
             other = HalfLaurent.from_int(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        res = HalfLaurent.__new__(HalfLaurent)
-        res._coeffs = out
-        res._hash = None
-        return res
+        return HalfLaurent.from_dense(*dense_add(self._off, self._coeffs,
+                                                 other._off, other._coeffs, sign))
 
     __radd__ = __add__
 
     def __sub__(self, other: "HalfLaurent | int") -> "HalfLaurent":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: int) -> "HalfLaurent":
-        return HalfLaurent.from_int(other) + (-self)
+        return HalfLaurent.from_int(other) - self
 
     def __mul__(self, other: "HalfLaurent | int") -> "HalfLaurent":
         if isinstance(other, int):
             other = HalfLaurent.from_int(other)
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
             return _ZERO
-        # Single-term operands cover the generator matrices, so shift fast.
-        if len(a) == 1:
-            (e1, c1), = a.items()
-            out = {e1 + e: c1 * c for e, c in b.items()}
-        elif len(b) == 1:
-            (e1, c1), = b.items()
-            out = {e1 + e: c1 * c for e, c in a.items()}
-        else:
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    v = out.get(e, 0) + c1 * c2
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
-        res = HalfLaurent.__new__(HalfLaurent)
-        res._coeffs = out
-        res._hash = None
-        return res
+        # One shifted, scaled copy of the longer operand per term of the
+        # shorter; the end coefficients are products of nonzero integers.
+        out = [0] * (len(a) + len(b) - 1)
+        for j, c in enumerate(b):
+            if c:
+                out[j:j + len(a)] = [x + c * y for x, y in zip(out[j:j + len(a)], a)]
+        return HalfLaurent.from_dense(self._off + other._off, out)
 
     __rmul__ = __mul__
 
     def exact_div(self, divisor: "HalfLaurent") -> "HalfLaurent":
         """Divide exactly by a nonzero divisor, or raise NonDivisibleError.
 
-        Division is carried out in the integer Laurent ring in s: both
-        operands are shifted to ordinary polynomials, the dividend is laid
-        out as a dense coefficient list, and long division runs down it
-        from the top degree, so each quotient term costs one pass over the
-        divisor's terms.  Every leading-coefficient division must be exact,
-        and the remainder left below the divisor's degree must be zero.
+        Long division runs down a copy of the dividend's coefficients from
+        the top, so each quotient term costs one pass over the divisor's
+        terms and takes the slot of the dividend term it cancels.  Every
+        leading-coefficient division must be exact, and the remainder left
+        below the divisor's degree must be zero.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return _ZERO
-        p_shift = min(self._coeffs)
-        d_shift = min(divisor._coeffs)
-        rem = [0] * (max(self._coeffs) - p_shift + 1)
-        for e, c in self._coeffs.items():
-            rem[e - p_shift] = c
-        den = [(e - d_shift, c) for e, c in divisor._coeffs.items()]
-        d_deg = max(divisor._coeffs) - d_shift
-        d_lead = divisor._coeffs[d_deg + d_shift]
-        quot: dict[int, int] = {}
+        rem = list(self._coeffs)
+        *lower, d_lead = divisor._coeffs
+        d_deg = len(lower)
+        den = [(e, v) for e, v in enumerate(lower) if v]
         for shift in range(len(rem) - 1 - d_deg, -1, -1):
             c, r = divmod(rem[shift + d_deg], d_lead)
             if r:
                 raise NonDivisibleError("leading coefficient does not divide")
+            rem[shift + d_deg] = c
             if c:
-                quot[shift + p_shift - d_shift] = c
                 for e, v in den:
                     rem[e + shift] -= c * v
         if any(rem[:d_deg]):
             raise NonDivisibleError("remainder of lower degree than divisor")
-        return HalfLaurent(quot)
+        return HalfLaurent.from_dense(self._off - divisor._off, rem[d_deg:])
 
     def at_q_minus_one(self) -> GaussInt:
         """Evaluate at q = -1, i.e. substitute s = i."""
-        re = im = 0
-        for e, c in self._coeffs.items():
-            r = e % 4
-            if r == 0:
-                re += c
-            elif r == 1:
-                im += c
-            elif r == 2:
-                re -= c
-            else:
-                im -= c
-        return GaussInt(re, im)
+        # sums[r]: the coefficients at s-exponents congruent to r mod 4.
+        sums = [sum(self._coeffs[(r - self._off) % 4::4]) for r in range(4)]
+        return GaussInt(sums[0] - sums[2], sums[1] - sums[3])
 
     def render(self) -> str:
         """Render with q-exponents, lowest term first.
@@ -215,7 +217,7 @@ class HalfLaurent:
         if not self._coeffs:
             return "0"
         parts = []
-        for e, c in sorted(self._coeffs.items()):
+        for e, c in self.items():
             if e == 0:
                 parts.append(str(c))
             elif e % 2 == 0:
@@ -228,7 +230,7 @@ class HalfLaurent:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"HalfLaurent({dict(sorted(self._coeffs.items()))!r})"
+        return f"HalfLaurent({dict(self.items())!r})"
 
 
 _ZERO = HalfLaurent()
@@ -250,9 +252,7 @@ def monomial_pow(base: HalfLaurent, n: int) -> HalfLaurent:
     Negative n is allowed; unit monomials are invertible in the Laurent
     ring.  Covers the prefactors (+-sqrt(q))**n and (-q)**n exactly.
     """
-    items = list(base._coeffs.items())
-    if len(items) != 1 or items[0][1] not in (1, -1):
+    if len(base._coeffs) != 1 or base._coeffs[0] not in (1, -1):
         raise ValueError(f"not a unit monomial: {base!r}")
-    e, c = items[0]
-    coeff = 1 if (c == 1 or n % 2 == 0) else -1
-    return HalfLaurent({e * n: coeff})
+    coeff = 1 if (base._coeffs[0] == 1 or n % 2 == 0) else -1
+    return HalfLaurent.from_dense(base._off * n, (coeff,))

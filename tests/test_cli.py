@@ -181,9 +181,15 @@ class TestVerify:
         assert "all pass" in out
 
     def test_skips_excluded(self, capsys):
-        code, out, _ = run(capsys, "verify", "--tmin", "2", "--tmax", "2")
+        code, out, _ = run(capsys, "verify", "--tmin", "2", "--tmax", "3")
         assert code == 0
-        assert "skipped" in out
+        assert out.startswith("t=2: skipped") and "all pass" in out
+
+    @pytest.mark.parametrize("t", ["2", "-2"])
+    def test_only_excluded_exits_2(self, capsys, t):
+        code, out, err = run(capsys, "verify", "--tmin", t, "--tmax", t)
+        assert code == 2 and out == ""
+        assert err == "error: no t in the range is checked (t = +-2 is excluded)\n"
 
     def test_negative_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--tmin", "-5", "--tmax", "-3")
@@ -366,13 +372,15 @@ class TestMainCalls:
         assert out.splitlines() == ["t=3 n=-24 h=1 window=1 pass",
                                     "t=4 n=-25 h=2 window=2 pass", "all pass"]
 
-    def test_closed_pipe_exits_1_without_traceback(self):
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    def test_closed_pipe_exits_1_without_traceback(self, unbuffered):
         # 600 kB of forms cannot fit in a pipe buffer, so the writer is
-        # still writing when the reader goes away.  The child keeps the
-        # default buffered stdout: unbuffered (PYTHONUNBUFFERED), CPython's
-        # text layer drops the rest of a short pipe write without an error.
+        # still writing when the reader goes away.  Unbuffered, a write to
+        # the pipe can take part of the bytes without an error.
         env = {key: value for key, value in os.environ.items()
                if key != "PYTHONUNBUFFERED"}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.Popen([sys.executable, "-m", "braidforms.cli", "forms", "20000"],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

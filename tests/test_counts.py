@@ -161,6 +161,11 @@ class TestCensus:
             for max_len in range(10):
                 assert census_table(max_len, *bounds) == word_census_table(max_len, *bounds)
 
+    def test_returned_table_is_not_shared(self):
+        census_table(6, 8, 8).clear()
+        assert braid_census(3, 0, 6) == 1
+        assert census_table(6, 8, 8) == word_census_table(6, 8, 8)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             braid_census(3, 0, 0)

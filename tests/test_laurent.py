@@ -1,5 +1,7 @@
 """Tests for exact half-power Laurent arithmetic."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from braidforms.laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent,
                                 NEG_Q, NEG_SQRT_Q, NonDivisibleError, ONE, Q,
                                 SQRT_Q, ZERO, i_power, monomial_pow)
+from oracles import SparseHalfLaurent
 
 polys = st.builds(
     HalfLaurent,
@@ -168,3 +171,72 @@ def test_i_power_cycle():
     assert str(GaussInt(3, -2)) == "3-2i"
     assert str(GaussInt(0, 2)) == "2i"
     assert str(GaussInt(-4, 0)) == "-4"
+
+
+# --- agreement with the sparse oracle ----------------------------------------
+#
+# Term lists spread over s-exponents -60..60 with gaps, zero coefficients
+# and repeated exponents, so the constructor's rules are exercised too.
+term_lists = st.lists(st.tuples(st.integers(-60, 60), st.integers(-4, 4)), max_size=10)
+INTS = (-3, 0, 1, 2)
+
+
+def assert_agree(dense, sparse):
+    items = list(sparse.items())
+    assert list(dense.items()) == items
+    assert dense == HalfLaurent(items)  # canonical: no zero at either end
+    assert dense.support() == sparse.support()
+    assert all(dense.coefficient(e) == sparse.coefficient(e) for e in range(-130, 131))
+    assert dense.render() == sparse.render() and repr(dense) == repr(sparse)
+    assert hash(dense) == hash(sparse)
+    assert dense.at_q_minus_one() == sparse.at_q_minus_one()
+    assert bool(dense) == bool(sparse) and dense.is_zero() == sparse.is_zero()
+    assert [dense == k for k in INTS] == [sparse == k for k in INTS]
+
+
+def division_outcome(p, d):
+    try:
+        return p.exact_div(d)
+    except (NonDivisibleError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("build", [list, dict, iter])
+@given(term_lists)
+def test_constructor_matches_sparse(build, pairs):
+    assert_agree(HalfLaurent(build(pairs)), SparseHalfLaurent(build(pairs)))
+
+
+def test_constructor_edge_cases():
+    # Zeros are dropped before repeated exponents are resolved.
+    assert HalfLaurent([(1, 2), (1, 0)]) == hl({1: 2})
+    assert HalfLaurent([(1, 2), (1, 3)]) == hl({1: 3})
+    assert HalfLaurent({1: 0, -7: 0}) == ZERO
+    assert hash(HalfLaurent([(9, 0)])) == hash(ZERO)
+    assert HalfLaurent.from_dense(9, []) == ZERO
+    assert HalfLaurent((e, 1) for e in (5, -5)) == hl({-5: 1, 5: 1})
+
+
+@given(term_lists, term_lists)
+def test_ring_operations_match_sparse(p, r):
+    dp, dr = HalfLaurent(p), HalfLaurent(r)
+    sp, sr = SparseHalfLaurent(p), SparseHalfLaurent(r)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_agree(op(dp, dr), op(sp, sr))
+        for k in INTS:
+            assert_agree(op(dp, k), op(sp, k))
+            assert_agree(op(k, dp), op(k, sp))
+    assert_agree(-dp, -sp)
+
+
+@given(term_lists, term_lists, term_lists)
+def test_exact_div_matches_sparse(p, d, r):
+    dp, dd, dr = HalfLaurent(p), HalfLaurent(d), HalfLaurent(r)
+    sp, sd, sr = SparseHalfLaurent(p), SparseHalfLaurent(d), SparseHalfLaurent(r)
+    # Exact quotients, near misses, and mostly non-divisible pairs.
+    for dense, sparse in ((dp * dd, sp * sd), (dp * dd + dr, sp * sd + sr), (dp, sp)):
+        got, want = division_outcome(dense, dd), division_outcome(sparse, sd)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_agree(got, want)
