@@ -31,10 +31,6 @@ from . import braid3
 from .braid3 import BraidWord
 
 
-def _delta_even_power(k: int) -> BraidWord:
-    return braid3.garside_power(2 * k)
-
-
 def _power_word(letter: int, count: int) -> tuple[int, ...]:
     if count >= 0:
         return (letter,) * count
@@ -43,13 +39,13 @@ def _power_word(letter: int, count: int) -> tuple[int, ...]:
 
 def family_iii_word(u: int, v: int, w: int, k: int) -> BraidWord:
     """D^2k s1^-1 s2^u s1^-v s2^w."""
-    return BraidWord(_delta_even_power(k).letters
+    return BraidWord(braid3.garside_power(2 * k).letters
                      + (-1,) + _power_word(2, u) + _power_word(-1, v) + _power_word(2, w))
 
 
 def family_iv_word(u: int, v: int, w: int, k: int) -> BraidWord:
     """D^2k s1^-1 s2^u s1^-1 s2^v s1^-1 s2^w."""
-    return BraidWord(_delta_even_power(k).letters
+    return BraidWord(braid3.garside_power(2 * k).letters
                      + (-1,) + _power_word(2, u)
                      + (-1,) + _power_word(2, v)
                      + (-1,) + _power_word(2, w))
@@ -111,13 +107,11 @@ def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int
         for v in range(2, target + 1):
             for u in range(1, target + 1):
                 rest = target - u * (1 + v)
-                if rest <= 0:
-                    break
                 den = 1 + v + u * v
-                if rest % den:
-                    continue
-                w = rest // den
-                if w > u:  # u < w normalizes the unordered pair {u, w}
+                if rest < (u + 1) * den:  # w > u normalizes the pair {u, w}
+                    break
+                if rest % den == 0:
+                    w = rest // den
                     sols.append(("iii", (u, v, w, k), u + w - v - 1 + 6 * k))
     for k in (1, 2):
         target = (-t if k == 1 else t) - 2  # 3 e1 + 2 e2 + e3
@@ -128,13 +122,11 @@ def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int
                 break
             for v in range(u + 1, target + 1):
                 rest = target - 3 * (u + v) - 2 * u * v
-                if rest <= 0:
-                    break
                 den = 3 + 2 * (u + v) + u * v
-                if rest % den:
-                    continue
-                w = rest // den
-                if w > v:  # u < v < w normalizes the set {u, v, w}
+                if rest < (v + 1) * den:  # w > v normalizes the set {u, v, w}
+                    break
+                if rest % den == 0:
+                    w = rest // den
                     sols.append(("iv", (u, v, w, k), u + v + w - 3 + 6 * k))
     return tuple(sols)
 
@@ -146,12 +138,9 @@ def shared_closure_count(t: int, n: int) -> int:
 
 def _low_index_bonus(t: int, n: int) -> int:
     # Conjugacy classes in the cell whose closure has braid index 1 or 2:
-    # the three unknot classes at (1, +-2) and (3, 0), and one torus class
-    # at each of (t, t-3) and (t, 3-t) for the remaining traces.
-    if t == 1:
-        return 1 if n in (2, -2) else 0
-    if t == 3:
-        return 1 if n == 0 else 0
+    # the class of s1^k s2^-1 at (t, t-3), k = t-2, and of s1^k s2 at
+    # (t, 3-t), k = 2-t.  With |k| = 1 these are the three unknot classes
+    # at (1, +-2) and (3, 0); otherwise they close to (2,k) torus links.
     return 1 if n in (t - 3, 3 - t) else 0
 
 
@@ -198,17 +187,8 @@ def witnesses(t: int, n: int) -> list[ExceptionalWitness]:
             words = (family_iv_word(u, v, w, k), family_iv_word(u, w, v, k))
             out.append(_make_witness("family-iv", (u, v, w, k), words))
     if _low_index_bonus(t, n):
-        if t == 1:
-            word = BraidWord((1, 2)) if n == 2 else BraidWord((-1, -2))
-            out.append(_make_witness("unknot", (), (word,)))
-        elif t == 3:
-            out.append(_make_witness("unknot", (), (BraidWord((1, -2)),)))
-        elif n == t - 3:
-            k = t - 2
-            out.append(_make_witness("torus", (k,),
-                                     (BraidWord(_power_word(1, k) + (-2,)),)))
-        else:
-            k = 2 - t
-            out.append(_make_witness("torus", (k,),
-                                     (BraidWord(_power_word(1, k) + (2,)),)))
+        k, last = (t - 2, -2) if n == t - 3 else (2 - t, 2)
+        word = BraidWord(_power_word(1, k) + (last,))
+        family, params = ("unknot", ()) if abs(k) == 1 else ("torus", (k,))
+        out.append(_make_witness(family, params, (word,)))
     return out

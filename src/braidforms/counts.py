@@ -162,14 +162,16 @@ def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tu
 
     A breadth-first search over states (a, b, c, d, eps), the integer
     matrix image and exponent sum of a word.  A state fixes t, n and the
-    class key, so words that reach one state are counted once.  Level k
-    holds the states first reached by k letters; the letters are closed
-    under inverses, so a neighbour of level k lies on level k - 1, k or
-    k + 1, and two stored levels find the next one.  The deepest level is
-    streamed into the cells, never stored.  Cells with |t| or |n| above
-    the bounds, or t = +-2, are not tracked.
+    form (b, d - a, -c), so words that reach one state are counted once.
+    Level k holds the states first reached by k letters; the letters are
+    closed under inverses, so a neighbour of level k lies on level k - 1,
+    k or k + 1, and two stored levels find the next one.  The deepest
+    level is streamed into the cells, never stored.  Each cell keeps its
+    distinct forms, which are reduced to class keys once, after the
+    search.  Cells with |t| or |n| above the bounds, or t = +-2, are not
+    tracked.
     """
-    cells: dict[tuple[int, int], set[FormClassKey]] = {}
+    cells: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
 
     def neighbours(previous: set, level: set):
         """States one letter beyond level, with repeats."""
@@ -183,7 +185,7 @@ def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tu
         for a, b, c, d, eps in states:
             t = a + d
             if abs(t) <= trace_bound and abs(eps) <= exponent_bound and t not in (2, -2):
-                cells.setdefault((t, eps), set()).add(quadforms.reduce(QForm(b, d - a, -c)))
+                cells.setdefault((t, eps), set()).add((b, d - a, -c))
 
     previous, level = set(), {(1, 0, 0, 1, 0)}
     for depth in range(1, max_len + 1):
@@ -191,7 +193,8 @@ def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tu
         following = neighbours(previous, level)
         previous, level = level, set(following) if depth < max_len else following
     record(level)
-    return {cell: len(keys) for cell, keys in cells.items()}
+    return {cell: len({quadforms.reduce(QForm(*f)) for f in forms})
+            for cell, forms in cells.items()}
 
 
 def braid_census(t: int, n: int, max_len: int) -> int:
@@ -204,5 +207,5 @@ def braid_census(t: int, n: int, max_len: int) -> int:
         raise ValueError("max_len must be at least 1")
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded")
-    table = census_table(max_len, max(8, abs(t)), max(8, abs(n)))
+    table = census_table(max_len, abs(t), abs(n))
     return table.get((t, n), 0)

@@ -135,7 +135,11 @@ class HalfLaurent:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(self.items()))
+            if self._off == 0 and len(self._coeffs) <= 1:
+                # A constant hashes as the int it equals.
+                self._hash = hash(self.coefficient(0))
+            else:
+                self._hash = hash(tuple(self.items()))
         return self._hash
 
     def __neg__(self) -> "HalfLaurent":

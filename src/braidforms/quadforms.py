@@ -297,9 +297,9 @@ def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
 def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     """All form classes of discriminant t^2 - 4, for t != +-2.
 
-    Negative discriminant (|t| < 2): reduced positive definite forms
-    are enumerated with the classical bound a <= sqrt(|D|/3), and each
-    contributes its negative as a separate negative definite class.
+    Negative discriminant (|t| < 2): D is -3 or -4, of class number
+    one, so the classes are those of x^2 + txy + y^2 and its negative,
+    a separate negative definite class.
     Positive discriminant: the reduced forms come from a divisor sieve
     over the parametrisation b = |t| - 2u (see
     _reduced_indefinite_forms), and one pass over them in ascending
@@ -312,18 +312,7 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     disc = t * t - 4
     root = _check_discriminant(disc)
     if disc < 0:
-        reps = []
-        for a in range(1, math.isqrt(-disc // 3) + 1):
-            for b in range(-a + 1, a + 1):
-                if (b * b - disc) % (4 * a):
-                    continue
-                c = (b * b - disc) // (4 * a)
-                if c < a or (a == c and b < 0):
-                    continue
-                reps.append((a, b, c))
-        keys = [FormClassKey(disc, rep) for rep in reps]
-        keys += [FormClassKey(disc, (-a, -b, -c)) for a, b, c in reps]
-        return tuple(keys)
+        return (reduce(QForm(1, t, 1)), reduce(QForm(-1, -t, -1)))
     seen: set[tuple[int, int, int]] = set()
     keys = []
     for f in _reduced_indefinite_forms(t):

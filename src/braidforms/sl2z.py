@@ -89,7 +89,7 @@ def decompose_st(m: Mat2Z) -> STWord:
     st_product(decompose_st(m)) == m.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
-    prefix: list[tuple[str, int]] = []  # product(prefix) * m == current
+    word: STWord = []  # product(word) == m * current^-1
 
     def apply(gen: str, p: int) -> None:
         nonlocal a, b, c, d
@@ -99,7 +99,13 @@ def decompose_st(m: Mat2Z) -> STWord:
             a, b = a + p * c, b + p * d
         else:
             c, d = c - p * a, d - p * b
-        prefix.insert(0, (gen, p))
+        # Append the inverse step, merged into an equal neighbour so
+        # every stored power is nonzero.
+        if word and word[-1][0] == gen:
+            p -= word.pop()[1]
+            if p == 0:
+                return
+        word.append((gen, -p))
 
     while c != 0:
         if a == 0:
@@ -117,16 +123,7 @@ def decompose_st(m: Mat2Z) -> STWord:
             apply("T", 1)
             apply("S", 1)
     assert (a, b, c, d) == (1, 0, 0, 1)
-    word = [(gen, -p) for gen, p in reversed(prefix)]
-    # Merge adjacent equal generators so every stored power is nonzero.
-    merged: STWord = []
-    for gen, p in word:
-        if merged and merged[-1][0] == gen:
-            p += merged[-1][1]
-            merged.pop()
-        if p != 0:
-            merged.append((gen, p))
-    return merged
+    return word
 
 
 def exponent_mod12(m: Mat2Z) -> int:

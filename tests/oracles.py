@@ -261,6 +261,48 @@ def word_census_table(max_len: int, trace_bound: int,
     return {cell: len(keys) for cell, keys in cells.items()}
 
 
+def filtered_family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int], ...]:
+    """birman_menasco._family_solutions by filtering, not loop exits.
+
+    The loops run until the rest of the trace is used up and keep only
+    the normalized solutions: u < w in family iii, u < v < w in family iv.
+    """
+    sols = []
+    for k in (0, 1):
+        target = (t if k == 0 else -t) - 2  # (u+w)(1+v) + uvw
+        if target < 2:
+            continue
+        for v in range(2, target + 1):
+            for u in range(1, target + 1):
+                rest = target - u * (1 + v)
+                if rest <= 0:
+                    break
+                den = 1 + v + u * v
+                if rest % den:
+                    continue
+                w = rest // den
+                if w > u:
+                    sols.append(("iii", (u, v, w, k), u + w - v - 1 + 6 * k))
+    for k in (1, 2):
+        target = (-t if k == 1 else t) - 2  # 3 e1 + 2 e2 + e3
+        if target < 2:
+            continue
+        for u in range(1, target + 1):
+            if 3 * u > target:
+                break
+            for v in range(u + 1, target + 1):
+                rest = target - 3 * (u + v) - 2 * u * v
+                if rest <= 0:
+                    break
+                den = 3 + 2 * (u + v) + u * v
+                if rest % den:
+                    continue
+                w = rest // den
+                if w > v:
+                    sols.append(("iv", (u, v, w, k), u + v + w - 3 + 6 * k))
+    return tuple(sols)
+
+
 # laurent.HalfLaurent stored sparsely, as a map from s-exponent to
 # coefficient: the reference the dense class must agree with on every
 # operation, error messages, repr and hash included.
@@ -308,7 +350,11 @@ class SparseHalfLaurent:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._coeffs.items())))
+            if set(self._coeffs) <= {0}:
+                # A constant hashes as the int it equals.
+                self._hash = hash(self.coefficient(0))
+            else:
+                self._hash = hash(tuple(sorted(self._coeffs.items())))
         return self._hash
 
     def __neg__(self) -> "SparseHalfLaurent":

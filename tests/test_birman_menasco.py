@@ -3,11 +3,12 @@
 import pytest
 
 from braidforms import braid3
-from braidforms.birman_menasco import (class_excess, family_iii_trace_exp,
-                                       family_iii_word, family_iv_trace_exp,
-                                       family_iv_word, shared_closure_count,
-                                       witnesses)
+from braidforms.birman_menasco import (_family_solutions, class_excess,
+                                       family_iii_trace_exp, family_iii_word,
+                                       family_iv_trace_exp, family_iv_word,
+                                       shared_closure_count, witnesses)
 from braidforms.braid3 import BraidWord
+from oracles import filtered_family_solutions
 
 
 def direct(word):
@@ -123,6 +124,17 @@ class TestSharedClosureCount:
         assert shared_closure_count(t, n) >= 1
         sets = [w.params for w in witnesses(t, n) if w.family == "family-iv"]
         assert (1, 2, 3, 1) in sets
+
+
+class TestFamilySolutions:
+    # The loops stop where w would fall to u (iii) or to v (iv); the
+    # oracle runs on and filters, so both must list the same tuples in
+    # the same order.
+    @pytest.mark.parametrize("ts", [range(-1000, 1001), (4999, -4999, 10**5, -10**5)])
+    def test_matches_filtered_loops(self, ts):
+        for t in ts:
+            if t not in (2, -2):
+                assert _family_solutions(t) == filtered_family_solutions(t)
 
 
 class TestExcludedTrace:

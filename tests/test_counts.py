@@ -42,6 +42,15 @@ class TestTraceClasses:
                     conj = p * rep * p.inverse()
                     assert sl2z.exponent_mod12(conj) == cls.residue
 
+    @pytest.mark.parametrize("t", [7, -13, 250, 4999, 30000, 99999])
+    def test_exact_residue_symmetries(self, t):
+        residues = {cls.key: cls.residue for cls in trace_classes(t)}
+        # -f is the class of the inverse matrix: residue -r.
+        for key, r in residues.items():
+            assert residues[quadforms.reduce(-key.rep_form())] == -r % 12, key.rep
+        # -M = M (ST)^3 with (ST)^3 of exponent 6: same keys, residue 6 - r.
+        assert {cls.key: cls.residue for cls in trace_classes(-t)} == \
+            {key: (6 - r) % 12 for key, r in residues.items()}
 
     def test_residues_match_rademacher_closed_form(self):
         # Reaches traces far beyond the brute-force conjugacy oracles.
@@ -160,6 +169,12 @@ class TestCensus:
         for bounds in ((8, 8), (0, 0), (3, 20), (60, 5), (10**5, 8)):
             for max_len in range(10):
                 assert census_table(max_len, *bounds) == word_census_table(max_len, *bounds)
+
+    def test_single_cell_box_matches_full_table(self):
+        table = census_table(7, 8, 8)
+        for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+            for n in range(-8, 9):
+                assert braid_census(t, n, 7) == table.get((t, n), 0), (t, n)
 
     def test_returned_table_is_not_shared(self):
         census_table(6, 8, 8).clear()

@@ -138,6 +138,13 @@ class TestCanonicalForm:
     def test_int_equality(self):
         assert ONE == 1
         assert ZERO == 0
+
+    def test_constant_hashes_as_its_int(self):
+        for n in (5, 1, 0, -3):
+            assert hash(HalfLaurent.from_int(n)) == hash(n)
+            assert hash(SparseHalfLaurent.from_int(n)) == hash(n)
+        assert len({HalfLaurent.from_int(5), 5}) == 1
+        assert {ZERO: "zero"}[0] == "zero"
         assert Q != 1
 
 

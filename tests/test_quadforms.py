@@ -148,6 +148,13 @@ class TestEnumerateClasses:
         assert class_number(1) == 2
         assert class_number(-3) == class_number(3)
 
+    def test_definite_classes_exactly(self):
+        # D = -3 and D = -4 have one positive and one negative class.
+        for t, reps in ((-1, ((1, 1, 1), (-1, -1, -1))),
+                        (0, ((1, 0, 1), (-1, 0, -1))),
+                        (1, ((1, 1, 1), (-1, -1, -1)))):
+            assert enumerate_classes(t) == tuple(FormClassKey(t * t - 4, r) for r in reps)
+
     def test_rejects_excluded_traces(self):
         with pytest.raises(ValueError):
             enumerate_classes(2)

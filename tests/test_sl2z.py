@@ -68,6 +68,14 @@ class TestDecompose:
             word = decompose_st(random_matrix(rng))
             assert all(p != 0 for _, p in word)
 
+    def test_adjacent_generators_differ(self):
+        mats = sl2_ball(6) + [NEG_I, S * S.inverse(), T * T * T]
+        rng = random.Random(12)
+        mats += [random_matrix(rng, syllables=12) for _ in range(500)]
+        for m in mats:
+            gens = [gen for gen, _ in decompose_st(m)]
+            assert all(x != y for x, y in zip(gens, gens[1:])), m
+
     def test_roundtrip_bulk(self):
         # 10^5 randomized matrices from short S/T words, remultiplied.
         rng = random.Random(2024)
