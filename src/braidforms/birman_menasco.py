@@ -113,13 +113,13 @@ def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int
                 if rest % den == 0:
                     w = rest // den
                     sols.append(("iii", (u, v, w, k), u + w - v - 1 + 6 * k))
+            if u == 1:  # stopped at once, and so for every larger v
+                break
     for k in (1, 2):
         target = (-t if k == 1 else t) - 2  # 3 e1 + 2 e2 + e3
         if target < 2:
             continue
         for u in range(1, target + 1):
-            if 3 * u > target:
-                break
             for v in range(u + 1, target + 1):
                 rest = target - 3 * (u + v) - 2 * u * v
                 den = 3 + 2 * (u + v) + u * v
@@ -128,6 +128,8 @@ def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int
                 if rest % den == 0:
                     w = rest // den
                     sols.append(("iv", (u, v, w, k), u + v + w - 3 + 6 * k))
+            if v == u + 1:  # stopped at once, and so for every larger u
+                break
     return tuple(sols)
 
 

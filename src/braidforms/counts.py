@@ -15,8 +15,9 @@ data and raises instead of passing silently.
 
 An independent census pipeline searches the braid words up to a given
 length breadth first, as states (integer matrix image, exponent sum),
-buckets them by (form class of the matrix, exponent sum), and yields
-certified lower bounds for x_count that converge from below.
+keeps only the states whose exponent sum can still reach the asked
+window, buckets them by (form class of the matrix, exponent sum), and
+yields certified lower bounds for x_count that converge from below.
 """
 
 from __future__ import annotations
@@ -157,40 +158,46 @@ _LETTERS = [braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS]
 _STEPS = tuple((astuple(braid3.phi(w)), braid3.exponent_sum(w)) for w in _LETTERS)
 
 
-def census_table(max_len: int, trace_bound: int, exponent_bound: int) -> dict[tuple[int, int], int]:
+def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[int, int], int]:
     """Distinct-class counts per (t, n) cell from words up to max_len.
 
     A breadth-first search over states (a, b, c, d, eps), the integer
     matrix image and exponent sum of a word.  A state fixes t, n and the
     form (b, d - a, -c), so words that reach one state are counted once.
-    Level k holds the states first reached by k letters; the letters are
-    closed under inverses, so a neighbour of level k lies on level k - 1,
-    k or k + 1, and two stored levels find the next one.  The deepest
-    level is streamed into the cells, never stored.  Each cell keeps its
-    distinct forms, which are reduced to class keys once, after the
-    search.  Cells with |t| or |n| above the bounds, or t = +-2, are not
-    tracked.
+    Level k holds the states first reached by k letters.  Every letter
+    moves eps by exactly 1, so eps has the parity of k: the letters are
+    closed under inverses, a neighbour of level k lies on level k - 1 or
+    k + 1, and two stored levels find the next one.  A state of level k
+    whose eps lies more than max_len - k outside the exponent window can
+    reach no tracked cell and is dropped; each prefix of a geodesic to a
+    tracked state lies within that distance, so no tracked state is
+    lost.  The deepest level is streamed into the cells, never stored.
+    Each cell keeps its distinct forms, which are reduced to class keys
+    once, after the search.  Only cells with t in traces and n in
+    exponents (ranges of step 1), t != +-2, are tracked.
     """
     cells: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
 
-    def neighbours(previous: set, level: set):
-        """States one letter beyond level, with repeats."""
+    def neighbours(previous: set, level: set, slack: int):
+        """States one letter beyond level within slack of the window, with repeats."""
+        low, high = exponents.start - slack, exponents.stop - 1 + slack
         for a, b, c, d, eps in level:
             for (e, f, g, h), step in _STEPS:
-                state = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, eps + step)
-                if state not in previous and state not in level:
-                    yield state
+                if low <= eps + step <= high:
+                    state = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, eps + step)
+                    if state not in previous:
+                        yield state
 
     def record(states) -> None:
         for a, b, c, d, eps in states:
             t = a + d
-            if abs(t) <= trace_bound and abs(eps) <= exponent_bound and t not in (2, -2):
+            if t in traces and eps in exponents and t not in (2, -2):
                 cells.setdefault((t, eps), set()).add((b, d - a, -c))
 
     previous, level = set(), {(1, 0, 0, 1, 0)}
     for depth in range(1, max_len + 1):
         record(level)
-        following = neighbours(previous, level)
+        following = neighbours(previous, level, max_len - depth)
         previous, level = level, set(following) if depth < max_len else following
     record(level)
     return {cell: len({quadforms.reduce(QForm(*f)) for f in forms})
@@ -207,5 +214,5 @@ def braid_census(t: int, n: int, max_len: int) -> int:
         raise ValueError("max_len must be at least 1")
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded")
-    table = census_table(max_len, abs(t), abs(n))
+    table = census_table(max_len, range(t, t + 1), range(n, n + 1))
     return table.get((t, n), 0)

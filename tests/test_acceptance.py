@@ -208,7 +208,7 @@ def test_09_form_matrix_round_trip():
 
 
 def test_10_brute_force_concordance():
-    table = counts.census_table(12, 8, 8)
+    table = counts.census_table(12, range(-8, 9), range(-8, 9))
     unsound = []
     gaps = []
     for t in [t for t in range(-8, 9) if t not in (-2, 2)]:

@@ -313,7 +313,7 @@ class TestLimits:
     def test_census_length_limit(self, capsys):
         code, out, err = run(capsys, "census", "3", "0", "--max-len", "40")
         assert code == 2 and out == ""
-        assert "--max-len 40 exceeds the limit 14" in err
+        assert "--max-len 40 exceeds the limit 16" in err
 
 
 class TestJsonRoundTrip:

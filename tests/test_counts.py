@@ -149,6 +149,11 @@ class TestWindowSymmetry:
             assert quadforms.class_number(t) == quadforms.class_number(-t)
 
 
+def box(trace_bound: int, exponent_bound: int) -> tuple[range, range]:
+    """The census windows |t| <= trace_bound, |n| <= exponent_bound."""
+    return range(-trace_bound, trace_bound + 1), range(-exponent_bound, exponent_bound + 1)
+
+
 class TestCensus:
     def test_explicit_witness(self):
         assert braid_census(3, 0, 2) >= 1
@@ -159,27 +164,43 @@ class TestCensus:
             assert values == sorted(values)
 
     def test_sound_lower_bound(self):
-        table = census_table(8, 6, 6)
+        table = census_table(8, *box(6, 6))
         for t in [t for t in range(-6, 7) if t not in (-2, 2)]:
             for n in range(-6, 7):
                 assert table.get((t, n), 0) <= class_count(t, n)
 
     def test_matches_word_walk(self):
-        assert census_table(0, 8, 8) == {}
+        assert census_table(0, *box(8, 8)) == {}
         for bounds in ((8, 8), (0, 0), (3, 20), (60, 5), (10**5, 8)):
             for max_len in range(10):
-                assert census_table(max_len, *bounds) == word_census_table(max_len, *bounds)
+                assert census_table(max_len, *box(*bounds)) == word_census_table(max_len, *bounds)
+
+    def test_single_cell_windows_match_word_walk(self):
+        # The exponent window prunes the walk hardest around one cell.
+        for max_len in range(10):
+            words = word_census_table(max_len, 8, 9)
+            for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+                for n in range(-9, 10):
+                    expected = {(t, n): words[t, n]} if (t, n) in words else {}
+                    assert census_table(max_len, range(t, t + 1), range(n, n + 1)) == expected
 
     def test_single_cell_box_matches_full_table(self):
-        table = census_table(7, 8, 8)
+        table = census_table(10, *box(8, 8))
         for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
             for n in range(-8, 9):
-                assert braid_census(t, n, 7) == table.get((t, n), 0), (t, n)
+                assert braid_census(t, n, 10) == table.get((t, n), 0), (t, n)
+
+    def test_mirror_symmetry(self):
+        # s_i -> s_i^-1 conjugates the matrix image by diag(1, -1): the
+        # trace stays and the exponent changes sign, at every length.
+        for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+            for n in range(1, 9):
+                assert braid_census(t, n, 11) == braid_census(t, -n, 11), (t, n)
 
     def test_returned_table_is_not_shared(self):
-        census_table(6, 8, 8).clear()
+        census_table(6, *box(8, 8)).clear()
         assert braid_census(3, 0, 6) == 1
-        assert census_table(6, 8, 8) == word_census_table(6, 8, 8)
+        assert census_table(6, *box(8, 8)) == word_census_table(6, 8, 8)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
