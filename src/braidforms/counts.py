@@ -164,9 +164,9 @@ def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[in
     A breadth-first search over states (a, b, c, d, eps), the integer
     matrix image and exponent sum of a word.  A state fixes t, n and the
     form (b, d - a, -c), so words that reach one state are counted once.
-    Level k holds the states first reached by k letters.  Every letter
-    moves eps by exactly 1, so eps has the parity of k: the letters are
-    closed under inverses, a neighbour of level k lies on level k - 1 or
+    Level k holds the states first reached by k letters.  The letters
+    are closed under inverses and each moves eps by exactly 1, so eps
+    has the parity of k, a neighbour of level k lies on level k - 1 or
     k + 1, and two stored levels find the next one.  A state of level k
     whose eps lies more than max_len - k outside the exponent window can
     reach no tracked cell and is dropped; each prefix of a geodesic to a
