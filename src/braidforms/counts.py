@@ -68,15 +68,23 @@ class LinkCountError(RuntimeError):
 def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
     """All trace-t classes, one per form class, tagged with residues.
 
-    The residue is computed from a single matrix representative; it is
-    well defined because the exponent mod 12 is a class function.
+    The exponent mod 12 is a class function, taken once per mirror
+    orbit from one matrix M of residue r.  The sigma-image is the class
+    of JMJ, J = diag(1, -1), which sends S, T to S^-1, T^-1: residue -r.
+    The rho-image is the class of JM^TJ; transposing reverses a word and
+    sends S, T to T^-1, S^-1: residue r.  The sigma-rho image has -r.
     """
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded")
+    residues: dict[tuple[int, int, int], int] = {}
     out = []
     for key in quadforms.enumerate_classes(t):
-        rep = quadforms.matrix_of_form(key.rep_form(), t)
-        out.append(ClassWithExponent(key, t, sl2z.exponent_mod12(rep)))
+        if key.rep not in residues:
+            r = residues[key.rep] = sl2z.exponent_mod12(quadforms.matrix_of_form(key.rep_form(), t))
+            if key.cycle:
+                for image, residue in zip(quadforms._mirrors(key.cycle), (-r % 12, r, -r % 12)):
+                    residues.setdefault(min(image), residue)
+        out.append(ClassWithExponent(key, t, residues[key.rep]))
     return tuple(out)
 
 

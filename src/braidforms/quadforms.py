@@ -11,6 +11,9 @@ square, so all forms in this pipeline have a != 0 and c != 0.  Both
 definiteness signs are first-class citizens when the discriminant is
 negative: a matrix of trace 0 may be conjugate to a rotation or its
 inverse, and those two classes map to x^2 + y^2 and -x^2 - y^2.
+
+The mirrors sigma (negate a and c) and rho (swap a and c) map reduced
+cycles to reduced cycles, so one cycle walk finds an orbit of up to 4 classes.
 """
 
 from __future__ import annotations
@@ -153,7 +156,11 @@ def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> tuple[tu
     while h != g:
         cycle.append(h)
         h = _neighbor(h, disc, root)
-    # Rotate to start at the least member so the cycle is canonical.
+    return _rotated(cycle)
+
+
+def _rotated(cycle: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """The cycle started at its least member, so that it is canonical."""
     start = cycle.index(min(cycle))
     return tuple(cycle[start:] + cycle[:start])
 
@@ -196,16 +203,6 @@ def is_conjugate(m: Mat2Z, n: Mat2Z) -> bool:
     return equivalent(form_of_matrix(m), form_of_matrix(n))
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, n >= 1, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
 def _sqrt_mod(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p, or None (Tonelli-Shanks)."""
     n %= p
@@ -213,6 +210,8 @@ def _sqrt_mod(n: int, p: int) -> int | None:
         return 0
     if pow(n, (p - 1) // 2, p) != 1:
         return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -233,62 +232,69 @@ def _sqrt_mod(n: int, p: int) -> int | None:
 
 
 def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
-    """All reduced forms of discriminant D = t^2 - 4, |t| >= 3, sorted.
+    """One reduced form per mirror orbit, of discriminant D = t^2 - 4, |t| >= 3.
 
-    With T = |t| the root isqrt(D) is T - 1, and writing b = T - 2u
-    turns the reduction conditions 0 < b < sqrt(D), ac = (b^2 - D)/4 and
-    sqrt(D) - b < 2|a| < sqrt(D) + b into: the reduced forms are
-    exactly (x, T - 2u, -y) and (-x, T - 2u, y) for 1 <= u <= (T-1)/2,
-    x * y = u(T - u) - 1 and u <= x <= T - u - 1.
+    With T = |t|, isqrt(D) = T - 1 and b = T - 2u, the reduction
+    conditions 0 < b < sqrt(D), ac = (b^2 - D)/4 and sqrt(D) - b < 2|a|
+    < sqrt(D) + b say: the reduced forms are (x, b, -y) and (-x, b, y)
+    with xy = u(T - u) - 1 and u <= x <= T - u - 1.  Each mirror orbit
+    meets the forms returned here, (x, b, -y) with u <= x <= y.  Those
+    are reduced: u^2 <= xy < u(T - u) and x^2 <= xy < uv with v = T - u
+    > u, so u < T/2 and x < v.  And every reduced form with 0 < a <= -c
+    is one, as 2u - 1 < 2x.
 
-    The values u(T - u) - 1 are factored all at once by a sieve: p
-    divides the value at u exactly when u is a root of u^2 - Tu + 1
-    mod p, that is u = (T +- sqrt(D)) / 2 mod p (for p = 2: T even and
-    u odd).  Every prime p <= T/2 is sieved and divided out of each hit
-    as often as it goes, so no root needs lifting mod p^k; the values
-    are below (T/2)^2, so any cofactor left over is prime.  Each
-    value's divisors in the window then give its forms.
+    So u is the root of u^2 - Tu + 1 mod x in [1, x], and x^2 < u(T - u).
+    A table holds the roots mod each such x.  A smallest-prime-factor
+    sieve splits x into a prime power q and a coprime cofactor m, whose
+    roots combine by the Chinese remainder theorem.  Mod an odd prime p
+    the roots are (T +- sqrt(D)) / 2; mod 2 and mod p^e, e > 1, they are
+    the lifts r + k p^(e-1), 0 <= k < p, of the roots r mod p^(e-1) that
+    solve the equation.  The forms come in no particular order.
     """
     big = abs(t)
     disc = big * big - 4
-    top = (big - 1) // 2
-    rest = [u * (big - u) - 1 for u in range(top + 1)]
-    factors: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    for p in _primes_upto(big // 2):
-        if p == 2:
-            hits = (1,) if big % 2 == 0 else ()
-        else:
-            s = _sqrt_mod(disc, p)
-            if s is None:
-                continue
+    u = (big - 1) // 2  # u(T - u) is largest here
+    top = math.isqrt(u * (big - u) - 1)
+    spf = list(range(top + 1))
+    for p in range(math.isqrt(top), 1, -1):  # the least p writes spf[x] last
+        spf[p * p::p] = [p] * len(range(p * p, top + 1, p))
+    roots: list[tuple[int, ...]] = [(), (0,)] + [()] * (top - 1)
+    for x in range(2, top + 1):
+        p = q = spf[x]
+        while x // q % p == 0:
+            q *= p
+        m = x // q
+        if m > 1 and roots[q] and roots[m]:
+            k = pow(m, -1, q)
+            roots[x] = tuple(s + m * ((r - s) * k % q) for r in roots[q] for s in roots[m])
+        elif m == 1 and (q > p or p == 2):
+            low = q // p
+            roots[x] = tuple(r for r0 in roots[low] for r in range(r0, q, low)
+                             if (r * (r - big) + 1) % q == 0)
+        elif m == 1 and (s := _sqrt_mod(disc, p)) is not None:
             half = (p + 1) // 2  # the inverse of 2 mod p
-            hits = {(big + s) * half % p, (big - s) * half % p}
-        for first in hits:
-            for u in range(first, top + 1, p):
-                v, e = rest[u] // p, 1
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                rest[u] = v
-                factors[u].append((p, e))
+            roots[x] = tuple({(big + s) * half % p, (big - s) * half % p})
     out = []
-    for u in range(1, top + 1):
-        if rest[u] > 1:
-            factors[u].append((rest[u], 1))
-        divisors = [1]
-        for p, e in factors[u]:
-            power = divisors
-            for _ in range(e):
-                power = [d * p for d in power]
-                divisors = divisors + power
-        prod, b, hi = u * (big - u) - 1, big - 2 * u, big - u - 1
-        for x in divisors:
-            if u <= x <= hi:
-                y = prod // x
-                out.append((x, b, -y))
-                out.append((-x, b, y))
-    out.sort()
+    for x in range(1, top + 1):
+        for r in roots[x]:
+            u = r or x
+            prod = u * (big - u) - 1
+            if x * x <= prod:
+                out.append((x, big - 2 * u, -(prod // x)))
     return out
+
+
+def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, int, int]], ...]:
+    """The sigma, rho and sigma-rho images of a reduced cycle, unrotated.
+
+    sigma negates a and c; rho flips each member, in reverse order.  The
+    step (a, b, c) -> (c, b', c') picks b' as the largest value below
+    sqrt(D) that is -b mod 2|c|.  It depends on |c| alone, and on
+    reduced forms 2|c| > sqrt(D) - b as for |a|, so b is that value for
+    b': the step also takes rho(c, b', c') to rho(a, b, c).
+    """
+    flipped = [(c, b, a) for a, b, c in reversed(cycle)]
+    return [(-a, b, -c) for a, b, c in cycle], flipped, [(-a, b, -c) for a, b, c in flipped]
 
 
 # Few entries: callers reuse one t (or t and -t) at a time, and at large
@@ -300,12 +306,11 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     Negative discriminant (|t| < 2): D is -3 or -4, of class number
     one, so the classes are those of x^2 + txy + y^2 and its negative,
     a separate negative definite class.
-    Positive discriminant: the reduced forms come from a divisor sieve
-    over the parametrisation b = |t| - 2u (see
-    _reduced_indefinite_forms), and one pass over them in ascending
-    order walks the neighbor-step cycle of each form not yet seen.
-    Each cycle is one class; its first form met is its least member,
-    so the classes come out ordered by representative.
+    Positive discriminant: the cycle of each form of
+    _reduced_indefinite_forms not yet seen is walked, and its mirror
+    images (_mirrors) are the other classes of its orbit; some may
+    coincide with it.  Each cycle, started at its least member, is one
+    class, and the classes are sorted by that representative.
     """
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded (discriminant 0)")
@@ -314,14 +319,16 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     if disc < 0:
         return (reduce(QForm(1, t, 1)), reduce(QForm(-1, -t, -1)))
     seen: set[tuple[int, int, int]] = set()
-    keys = []
+    cycles = {}
     for f in _reduced_indefinite_forms(t):
         if f in seen:
             continue
-        cycle = _indefinite_cycle(f, disc, root)
-        seen.update(cycle)
-        keys.append(FormClassKey(disc, min(cycle), cycle))
-    return tuple(keys)
+        walked = _indefinite_cycle(f, disc, root)
+        for cycle in (walked, *map(_rotated, _mirrors(walked))):
+            if cycle[0] not in cycles:
+                cycles[cycle[0]] = cycle
+                seen.update(cycle)
+    return tuple(FormClassKey(disc, rep, cycles[rep]) for rep in sorted(cycles))
 
 
 def class_number(t: int) -> int:

@@ -145,6 +145,71 @@ def trial_division_reduced_forms(disc: int, root: int) -> list[tuple[int, int, i
     return sorted(set(out))
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, n >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def divisor_sieve_reduced_forms(t: int) -> list[tuple[int, int, int]]:
+    """All reduced forms of discriminant D = t^2 - 4, |t| >= 3, sorted.
+
+    With T = |t| and b = T - 2u the reduced forms are exactly
+    (x, T - 2u, -y) and (-x, T - 2u, y) for 1 <= u <= (T-1)/2,
+    x * y = u(T - u) - 1 and u <= x <= T - u - 1.  The values
+    u(T - u) - 1 are factored all at once by a sieve: p divides the
+    value at u exactly when u = (T +- sqrt(D)) / 2 mod p (for p = 2: T
+    even and u odd).  Every prime p <= T/2 is divided out of each hit
+    as often as it goes; the values are below (T/2)^2, so any cofactor
+    left over is prime.  Each value's divisors in the window give its
+    forms.  Theta(T log T) divisors, most of them outside the window.
+    """
+    big = abs(t)
+    disc = big * big - 4
+    top = (big - 1) // 2
+    rest = [u * (big - u) - 1 for u in range(top + 1)]
+    factors: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for p in _primes_upto(big // 2):
+        if p == 2:
+            hits = (1,) if big % 2 == 0 else ()
+        else:
+            s = quadforms._sqrt_mod(disc, p)
+            if s is None:
+                continue
+            half = (p + 1) // 2  # the inverse of 2 mod p
+            hits = {(big + s) * half % p, (big - s) * half % p}
+        for first in hits:
+            for u in range(first, top + 1, p):
+                v, e = rest[u] // p, 1
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                rest[u] = v
+                factors[u].append((p, e))
+    out = []
+    for u in range(1, top + 1):
+        if rest[u] > 1:
+            factors[u].append((rest[u], 1))
+        divisors = [1]
+        for p, e in factors[u]:
+            power = divisors
+            for _ in range(e):
+                power = [d * p for d in power]
+                divisors = divisors + power
+        prod, b, hi = u * (big - u) - 1, big - 2 * u, big - u - 1
+        for x in divisors:
+            if u <= x <= hi:
+                y = prod // x
+                out.append((x, b, -y))
+                out.append((-x, b, y))
+    out.sort()
+    return out
+
+
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) for k > 0 and gcd(h, k) = 1, by the reciprocity law
 

@@ -12,10 +12,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidforms import braid3, counts, quadforms
-from braidforms.cli import (MAX_ABS_T, MAX_VERIFY_ABS_T_SUM, MAX_WORD_COST,
-                            MAX_WORD_LETTERS, build_parser, main)
+from braidforms.cli import (MAX_ABS_T, MAX_CENSUS_LEN, MAX_VERIFY_ABS_T_SUM,
+                            MAX_WORD_COST, MAX_WORD_LETTERS, build_parser, main)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -316,6 +318,70 @@ class TestLimits:
         assert "--max-len 40 exceeds the limit 16" in err
 
 
+def run_in_process(argv) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of main(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+MALFORMED = ("", "x", "1.5", "1e3", "0x10", "--", "-", "3 4", "+", "-t")
+
+
+def cheap_ints(low: int, high: int, past: tuple[int, ...]):
+    """Small valid integers, values just past a limit, or malformed text."""
+    return st.one_of(st.integers(low, high).map(str),
+                     st.sampled_from([str(v) for v in past]),
+                     st.sampled_from(MALFORMED))
+
+
+FUZZ_T = cheap_ints(-9, 9, (MAX_ABS_T + 1, -MAX_ABS_T - 1, MAX_ABS_T + 2, 10**40))
+FUZZ_N = cheap_ints(-30, 30, (10**40, -10**40))
+FUZZ_WORD = st.lists(st.sampled_from(["1", "-2", "2^3", "1^-2", "1^", "^2", "3", "0",
+                                      "a", "1^x", f"1^{MAX_WORD_LETTERS + 1}"]),
+                     max_size=5).map(" ".join)
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["h", "forms", "classes"]), FUZZ_T),
+    st.tuples(st.sampled_from(["counts", "m"]), FUZZ_T, FUZZ_N),
+    st.tuples(st.just("census"), FUZZ_T, FUZZ_N, st.just("--max-len"),
+              cheap_ints(-1, 6, (MAX_CENSUS_LEN + 1, MAX_CENSUS_LEN + 2))),
+    st.tuples(st.just("invariants"), FUZZ_WORD, st.just("--delta-power"),
+              cheap_ints(-3, 3, (817, -817, 10**9))),
+    st.tuples(st.just("verify"), st.just("--tmin"), FUZZ_T, st.just("--tmax"), FUZZ_T),
+    # Ranges just past the sum limit, which are rejected before any work.
+    st.tuples(st.just("verify"), st.just("--tmin"), st.sampled_from(["-2449", "3"]),
+              st.just("--tmax"), st.sampled_from(["-3", "2449", str(MAX_ABS_T)])),
+)
+
+
+@st.composite
+def fuzz_argvs(draw) -> list[str]:
+    argv = list(draw(FUZZ_ARGV))
+    argv = argv[:len(argv) - draw(st.integers(0, 1))]  # sometimes a value short
+    return argv + draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"],
+                                        ["--format", "csv"], ["--format", "xml"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argvs())
+@example(["h", "-100000"])
+@example(["classes", "-100000", "--format", "csv"])
+@example(["census", "3", "0", "--max-len", str(MAX_CENSUS_LEN), "--format", "json"])
+@example(["invariants", f"2^{MAX_WORD_LETTERS}"])
+def test_argv_fuzz_exits_cleanly(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err, argv
+    if code == 0:
+        assert err == "", argv
+    if code == 2:
+        assert "error:" in err, argv
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("argv", [
         ("h", "3"),
@@ -425,6 +491,7 @@ def golden_argvs() -> list[tuple[str, ...]]:
               ("counts", big, "0"), ("m", "-" + big, "0"),
               ("census", big, "0", "--max-len", "2"),
               ("census", "3", "0", "--max-len", "15"),
+              ("census", "3", "0", "--max-len", "17"),
               ("verify", "--tmin", "3", "--tmax", big),
               ("verify", "--tmin", "-2449", "--tmax", "-3"),
               ("invariants", f"1^{MAX_WORD_LETTERS + 1}"),
@@ -434,13 +501,7 @@ def golden_argvs() -> list[tuple[str, ...]]:
 
 
 def golden_digest(argv: tuple[str, ...]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    blob = json.dumps(run_in_process(argv))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

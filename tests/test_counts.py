@@ -10,6 +10,7 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                check_window_symmetry, class_count, counts_row,
                                default_sweep_exponent, link_count,
                                trace_classes)
+from braidforms.quadforms import QForm
 from braidforms.sl2z import st_product
 from oracles import rademacher_residue, word_census_table
 
@@ -20,6 +21,18 @@ def random_matrix(rng, syllables=5, max_power=4):
         power = rng.choice([p for p in range(-max_power, max_power + 1) if p])
         word.append((rng.choice("ST"), power))
     return st_product(word)
+
+
+def rotated(cycle):
+    start = cycle.index(min(cycle))
+    return tuple(cycle[start:] + cycle[:start])
+
+
+def mirror_images(cycle):
+    """Cycles of (-a, b, -c), of (c, b, a) in reverse order, and of both."""
+    flipped = [(c, b, a) for a, b, c in reversed(cycle)]
+    return (rotated([(-a, b, -c) for a, b, c in cycle]), rotated(flipped),
+            rotated([(-a, b, -c) for a, b, c in flipped]))
 
 
 class TestTraceClasses:
@@ -48,9 +61,29 @@ class TestTraceClasses:
         # -f is the class of the inverse matrix: residue -r.
         for key, r in residues.items():
             assert residues[quadforms.reduce(-key.rep_form())] == -r % 12, key.rep
+            # The opposite form (c, b, a) is the class of J M^T J: residue r.
+            a, b, c = key.rep
+            assert residues[quadforms.reduce(QForm(c, b, a))] == r, key.rep
         # -M = M (ST)^3 with (ST)^3 of exponent 6: same keys, residue 6 - r.
         assert {cls.key: cls.residue for cls in trace_classes(-t)} == \
             {key: (6 - r) % 12 for key, r in residues.items()}
+
+    @pytest.mark.parametrize("t", [7, -13, 250, 4999, 30000, 99999])
+    def test_classes_closed_under_mirrors(self, t):
+        cycles = {key.rep: key.cycle for key in quadforms.enumerate_classes(t)}
+        for cycle in cycles.values():
+            for image in mirror_images(cycle):
+                assert cycles[image[0]] == image, cycle
+
+    @pytest.mark.parametrize("t, sizes", [(3, [1]), (4, [2]), (7, [1, 2]), (-18, [1, 1, 2, 2, 2]),
+                                          (20, [2, 2, 2, 4])])
+    def test_mirror_orbit_sizes(self, t, sizes):
+        # Orbits of one or two classes, where the mirrors fix a class,
+        # are counted once each.
+        orbits = {frozenset(image[0] for image in (key.cycle, *mirror_images(key.cycle)))
+                  for key in quadforms.enumerate_classes(t)}
+        assert sorted(map(len, orbits)) == sizes
+        assert sum(map(len, orbits)) == len(trace_classes(t))
 
     def test_residues_match_rademacher_closed_form(self):
         # Reaches traces far beyond the brute-force conjugacy oracles.

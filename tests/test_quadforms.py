@@ -5,13 +5,19 @@ import random
 import pytest
 
 from braidforms.quadforms import (FormClassKey, QForm,
-                                  _reduced_indefinite_forms, act,
+                                  _reduced_indefinite_forms, _sqrt_mod, act,
                                   class_number, enumerate_classes, equivalent,
                                   form_of_matrix, matrix_of_form, reduce)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
-from oracles import (conjugacy_components, evaluate,
+from oracles import (_primes_upto, conjugacy_components,
+                     divisor_sieve_reduced_forms, evaluate,
                      forms_with_bounded_coeffs, sl2_ball, substitute,
                      trace_t_matrices, trial_division_reduced_forms)
+
+
+def quarter(forms):
+    """The forms with 0 < a <= -c, sorted: one per mirror orbit."""
+    return sorted(f for f in forms if 0 < f[0] <= -f[2])
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -193,14 +199,18 @@ class TestEnumerateClasses:
 
     def test_sieve_matches_trial_division_oracle(self):
         # Dense small traces, then primes, highly composite values and
-        # powers of two +- 1, where the sieve's special cases bite.
+        # powers of two +- 1, where the root table's special cases bite.
         for t in [*range(3, 401), 997, 1000, 2310, 4097, 4999]:
             disc = t * t - 4
             expected = trial_division_reduced_forms(disc, t - 1)
             assert expected
             for signed in (t, -t):
-                forms = _reduced_indefinite_forms(signed)
-                assert forms == expected, signed
+                forms = sorted(_reduced_indefinite_forms(signed))
+                assert forms == quarter(expected), signed
+            # The sigma and rho images of the quarter are every reduced form.
+            images = {g for a, b, c in forms
+                      for g in ((a, b, c), (-a, b, -c), (c, b, a), (-c, b, -a))}
+            assert sorted(images) == expected, t
             for a, b, c in forms:
                 assert b * b - 4 * a * c == disc
                 # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b,
@@ -208,6 +218,23 @@ class TestEnumerateClasses:
                 assert 0 < b and b * b < disc
                 assert (2 * abs(a) + b) ** 2 > disc
                 assert 2 * abs(a) < b or (2 * abs(a) - b) ** 2 < disc
+
+    def test_root_table_matches_divisor_sieve_oracle(self):
+        for t in [*range(3, 2001), 4096, 4999, 30030, 99999, 10**5]:
+            assert sorted(_reduced_indefinite_forms(t)) == \
+                quarter(divisor_sieve_reduced_forms(t)), t
+
+    def test_sqrt_mod(self):
+        for p in _primes_upto(400)[1:] + [65537, 99991]:
+            squares = {x * x % p for x in range(p)} if p < 400 else None
+            for n in range(min(p, 400)):
+                r = _sqrt_mod(n, p)
+                if r is None:
+                    assert squares is None or n not in squares, (n, p)
+                    assert pow(n, (p - 1) // 2, p) == p - 1
+                else:
+                    assert r * r % p == n, (n, p)
+            assert squares is None or sum(_sqrt_mod(n, p) is not None for n in range(p)) == len(squares)
 
     def test_cycles_close_under_neighbor_step(self):
         import math
