@@ -145,7 +145,7 @@ def trial_division_reduced_forms(disc: int, root: int) -> list[tuple[int, int, i
     return sorted(set(out))
 
 
-def _primes_upto(n: int) -> list[int]:
+def primes_upto(n: int) -> list[int]:
     """The primes p <= n, n >= 1, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
@@ -173,7 +173,7 @@ def divisor_sieve_reduced_forms(t: int) -> list[tuple[int, int, int]]:
     top = (big - 1) // 2
     rest = [u * (big - u) - 1 for u in range(top + 1)]
     factors: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    for p in _primes_upto(big // 2):
+    for p in primes_upto(big // 2):
         if p == 2:
             hits = (1,) if big % 2 == 0 else ()
         else:

@@ -9,10 +9,10 @@ from braidforms.quadforms import (FormClassKey, QForm,
                                   class_number, enumerate_classes, equivalent,
                                   form_of_matrix, matrix_of_form, reduce)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
-from oracles import (_primes_upto, conjugacy_components,
-                     divisor_sieve_reduced_forms, evaluate,
-                     forms_with_bounded_coeffs, sl2_ball, substitute,
-                     trace_t_matrices, trial_division_reduced_forms)
+from oracles import (conjugacy_components, divisor_sieve_reduced_forms,
+                     evaluate, forms_with_bounded_coeffs, primes_upto,
+                     sl2_ball, substitute, trace_t_matrices,
+                     trial_division_reduced_forms)
 
 
 def quarter(forms):
@@ -225,16 +225,16 @@ class TestEnumerateClasses:
                 quarter(divisor_sieve_reduced_forms(t)), t
 
     def test_sqrt_mod(self):
-        for p in _primes_upto(400)[1:] + [65537, 99991]:
-            squares = {x * x % p for x in range(p)} if p < 400 else None
+        # Every n below 400 mod each odd prime, 65537 = 1 mod 4 (the
+        # Tonelli-Shanks loop) and 99991 = 3 mod 4; None only on Euler's
+        # criterion for a non-residue.
+        for p in primes_upto(400)[1:] + [65537, 99991]:
             for n in range(min(p, 400)):
                 r = _sqrt_mod(n, p)
                 if r is None:
-                    assert squares is None or n not in squares, (n, p)
-                    assert pow(n, (p - 1) // 2, p) == p - 1
+                    assert pow(n, (p - 1) // 2, p) == p - 1, (n, p)
                 else:
                     assert r * r % p == n, (n, p)
-            assert squares is None or sum(_sqrt_mod(n, p) is not None for n in range(p)) == len(squares)
 
     def test_cycles_close_under_neighbor_step(self):
         import math
