@@ -476,6 +476,9 @@ def golden_argvs() -> list[tuple[str, ...]]:
     for t in (-7, -3, 0, 1, 2, 3, 7):
         for n in sorted({-4, 0, 1, t - 3}):
             cases += [("counts", str(t), str(n)), ("m", str(t), str(n))]
+    # Cells with family witnesses: iii at k = 0 and k = 1, several per cell, and iv.
+    for t, n in ((20, 1), (-20, 7), (99999, 204), (99999, 324), (-100000, 563)):
+        cases.append(("m", str(t), str(n)))
     for t, n in ((3, 0), (-5, 1), (0, -4), (7, 4), (2, 0)):
         cases += [("census", str(t), str(n), "--max-len", str(length))
                   for length in (1, 3, 6)]
