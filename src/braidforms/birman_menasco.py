@@ -24,8 +24,9 @@ sextuple) the family contributions and push link counts negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count
 
 from . import braid3
 from .braid3 import BraidWord
@@ -88,54 +89,56 @@ def family_iv_trace_exp(u: int, v: int, w: int, k: int) -> tuple[int, int]:
     return (sign * (2 + 3 * e1 + 2 * e2 + e3), e1 - 3 + 6 * k)
 
 
-@lru_cache(maxsize=4)
-def _family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int], ...]:
-    """All normalized family parameter sets of trace t, with exponents.
+def _split(s: int, prod: int, m: int) -> tuple[int, int] | None:
+    """The integers a < b with a + b = s and m ab = prod, or None."""
+    disc = s * s - 4 * (prod // m)
+    d = math.isqrt(max(disc, 0))
+    return ((s - d) // 2, (s + d) // 2) if prod % m == 0 and d and d * d == disc else None
 
-    Family iii solutions are normalized to u < w, family iv to
-    u < v < w, so each entry is one link.  The trace formulas have all
-    terms positive after the (-1)^k sign, which bounds every parameter
-    by |t| and fixes the usable k values by the sign of t.
+
+def _family_solutions(t: int, n: int) -> list[tuple[str, tuple[int, int, int, int]]]:
+    """The normalized family parameter sets of cell (t, n), one per link.
+
+    Family iii sets have u < w and come by k then v; family iv sets have
+    u < v < w and come by k then u.  After the (-1)^k sign every term of
+    the trace is positive, and the exponent fixes a sum, so each loop step
+    leaves the sum s and a multiple of the product of the last two powers:
+    in iii, s = u + w = n + v + 1 - 6k and rest = target - s(1 + v) = v uw;
+    in iv, e1 = n + 3 - 6k, s = v + w = e1 - u and
+    rest = target - 3 e1 - 2us = (2 + u) vw.  A loop stops once rest is
+    below its least value, 2v (uw >= 2) or (u + 1)(u + 2)^2 (w > v > u).
+    Both tests are monotone: the bound rises with the loop variable and
+    rest falls, as s >= 3 grows with v in iii and u(e1 - u) grows for
+    u <= (e1 - 3) / 3 < e1 / 2 in iv.  So a cell takes O(sqrt|t|) steps.
     """
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded")
     sols = []
     for k in (0, 1):
         target = (t if k == 0 else -t) - 2  # (u+w)(1+v) + uvw
-        if target < 2:
-            continue
-        for v in range(2, target + 1):
-            for u in range(1, target + 1):
-                rest = target - u * (1 + v)
-                den = 1 + v + u * v
-                if rest < (u + 1) * den:  # w > u normalizes the pair {u, w}
-                    break
-                if rest % den == 0:
-                    w = rest // den
-                    sols.append(("iii", (u, v, w, k), u + w - v - 1 + 6 * k))
-            if u == 1:  # stopped at once, and so for every larger v
+        for v in count(max(2, 2 - n + 6 * k)):  # from s = u + w >= 3
+            s = n + v + 1 - 6 * k
+            rest = target - s * (1 + v)
+            if rest < 2 * v:
                 break
+            if uw := _split(s, rest, v):
+                sols.append(("iii", (uw[0], v, uw[1], k)))
     for k in (1, 2):
         target = (-t if k == 1 else t) - 2  # 3 e1 + 2 e2 + e3
-        if target < 2:
-            continue
-        for u in range(1, target + 1):
-            for v in range(u + 1, target + 1):
-                rest = target - 3 * (u + v) - 2 * u * v
-                den = 3 + 2 * (u + v) + u * v
-                if rest < (v + 1) * den:  # w > v normalizes the set {u, v, w}
-                    break
-                if rest % den == 0:
-                    w = rest // den
-                    sols.append(("iv", (u, v, w, k), u + v + w - 3 + 6 * k))
-            if v == u + 1:  # stopped at once, and so for every larger u
+        e1 = n + 3 - 6 * k
+        for u in range(1, (e1 - 3) // 3 + 1):
+            rest = target - 3 * e1 - 2 * u * (e1 - u)
+            if rest < (u + 1) * (u + 2) ** 2:
                 break
-    return tuple(sols)
+            vw = _split(e1 - u, rest, 2 + u)
+            if vw and vw[0] > u:
+                sols.append(("iv", (u, *vw, k)))
+    return sols
 
 
 def shared_closure_count(t: int, n: int) -> int:
     """Number of links in cell (t, n) whose fiber is a pair of classes."""
-    return sum(1 for _, _, exp in _family_solutions(t) if exp == n)
+    return len(_family_solutions(t, n))
 
 
 def _low_index_bonus(t: int, n: int) -> int:
@@ -179,15 +182,10 @@ def _make_witness(family: str, params: tuple[int, ...],
 def witnesses(t: int, n: int) -> list[ExceptionalWitness]:
     """Explicit braid words behind every unit counted in class_excess(t, n)."""
     out = []
-    for family, (u, v, w, k), exp in _family_solutions(t):
-        if exp != n:
-            continue
-        if family == "iii":
-            words = (family_iii_word(u, v, w, k), family_iii_word(w, v, u, k))
-            out.append(_make_witness("family-iii", (u, v, w, k), words))
-        else:
-            words = (family_iv_word(u, v, w, k), family_iv_word(u, w, v, k))
-            out.append(_make_witness("family-iv", (u, v, w, k), words))
+    for family, (u, v, w, k) in _family_solutions(t, n):
+        words = ((family_iii_word(u, v, w, k), family_iii_word(w, v, u, k)) if family == "iii"
+                 else (family_iv_word(u, v, w, k), family_iv_word(u, w, v, k)))
+        out.append(_make_witness("family-" + family, (u, v, w, k), words))
     if _low_index_bonus(t, n):
         k, last = (t - 2, -2) if n == t - 3 else (2 - t, 2)
         word = BraidWord(_power_word(1, k) + (last,))

@@ -1,5 +1,7 @@
 """Tests for the exceptional-fiber families and the correction counts."""
 
+from collections import defaultdict
+
 import pytest
 
 from braidforms import braid3
@@ -8,6 +10,7 @@ from braidforms.birman_menasco import (_family_solutions, class_excess,
                                        family_iv_trace_exp, family_iv_word,
                                        shared_closure_count, witnesses)
 from braidforms.braid3 import BraidWord
+from braidforms.counts import default_sweep_exponent
 from oracles import filtered_family_solutions
 
 
@@ -127,14 +130,28 @@ class TestSharedClosureCount:
 
 
 class TestFamilySolutions:
-    # The loops stop where w would fall to u (iii) or to v (iv); the
-    # oracle runs on and filters, so both must list the same tuples in
-    # the same order.
+    # The solver takes one cell and stops at the least value of the rest;
+    # the oracle runs over the whole trace and filters, so grouped by
+    # exponent both must list the same tuples in the same order.
     @pytest.mark.parametrize("ts", [range(-1000, 1001), (4999, -4999, 10**5, -10**5)])
     def test_matches_filtered_loops(self, ts):
+        closed = {"iii": family_iii_trace_exp, "iv": family_iv_trace_exp}
         for t in ts:
-            if t not in (2, -2):
-                assert _family_solutions(t) == filtered_family_solutions(t)
+            if t in (2, -2):
+                continue
+            by_exponent = defaultdict(list)
+            for family, params, n in filtered_family_solutions(t):
+                by_exponent[n].append((family, params))
+            cells = {n + d for n in by_exponent for d in (-1, 0, 1)}
+            if abs(t) <= 200:
+                cells |= set(range(-abs(t) - 13, abs(t) + 14))
+            for n in cells:
+                sols = _family_solutions(t, n)
+                assert sols == by_exponent.get(n, []), (t, n)
+                for family, params in sols:
+                    assert closed[family](*params) == (t, n)
+            start = default_sweep_exponent(t)
+            assert all(_family_solutions(t, start + j) == [] for j in range(12))
 
 
 class TestExcludedTrace:

@@ -372,6 +372,9 @@ def fuzz_argvs(draw) -> list[str]:
 @example(["classes", "-100000", "--format", "csv"])
 @example(["census", "3", "0", "--max-len", str(MAX_CENSUS_LEN), "--format", "json"])
 @example(["invariants", f"2^{MAX_WORD_LETTERS}"])
+@example(["m", "100000", str(10**40)])
+@example(["m", "-100000", str(-10**40)])
+@example(["m", "-99999", "1388"])
 def test_argv_fuzz_exits_cleanly(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)
