@@ -100,9 +100,10 @@ def _family_solutions(t: int, n: int) -> list[tuple[str, tuple[int, int, int, in
     """The normalized family parameter sets of cell (t, n), one per link.
 
     Family iii sets have u < w and come by k then v; family iv sets have
-    u < v < w and come by k then u.  After the (-1)^k sign every term of
-    the trace is positive, and the exponent fixes a sum, so each loop step
-    leaves the sum s and a multiple of the product of the last two powers:
+    u < v < w and come by k then u.  Both trace formulas give
+    target = (-1)^k t - 2 as a sum of positive terms, and the exponent
+    fixes a sum, so each loop step leaves the sum s and a multiple of the
+    product of the last two powers:
     in iii, s = u + w = n + v + 1 - 6k and rest = target - s(1 + v) = v uw;
     in iv, e1 = n + 3 - 6k, s = v + w = e1 - u and
     rest = target - 3 e1 - 2us = (2 + u) vw.  A loop stops once rest is

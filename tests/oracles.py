@@ -327,10 +327,12 @@ def word_census_table(max_len: int, trace_bound: int,
 
 
 def filtered_family_solutions(t: int) -> tuple[tuple[str, tuple[int, int, int, int], int], ...]:
-    """birman_menasco._family_solutions by filtering, not loop exits.
+    """The family parameter sets of trace t with their exponents, by filtering.
 
-    The loops run until the rest of the trace is used up and keep only
-    the normalized solutions: u < w in family iii, u < v < w in family iv.
+    The loops run over the whole trace until its rest is used up and keep
+    only the normalized solutions: u < w in family iii, u < v < w in
+    family iv.  Grouped by exponent n, in order, they are what
+    birman_menasco._family_solutions(t, n) returns.
     """
     sols = []
     for k in (0, 1):
