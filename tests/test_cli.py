@@ -489,6 +489,9 @@ def golden_argvs() -> list[tuple[str, ...]]:
                  "1 3", "1^"):
         cases += [("invariants", word), ("invariants", word, "--delta-power", "2"),
                   ("invariants", word, "--delta-power", "-2")]
+    # Long syllables: the running sums and the trims of long Burau entries.
+    cases += [("invariants", "1^333 2^333 -1^334"), ("invariants", "-2^333 1^333 2^334"),
+              ("invariants", "1^40 -2^40 -1^40 2^40", "--delta-power", "-3")]
     for tmin, tmax, window in ((-3, 3, ()), (-7, -4, ()), (2, 2, ()), (5, 3, ()),
                                (1, 4, ("--n", "0")), (-4, -1, ("--n", "-4"))):
         cases.append(("verify", "--tmin", str(tmin), "--tmax", str(tmax), *window))
