@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from operator import sub
+from operator import neg, sub
 
 from . import sl2z
 from .laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent, NEG_INV_SQRT_Q,
@@ -122,7 +122,7 @@ def parse_syllables(text: str) -> list[tuple[int, int]]:
 
 def exponent_sum(w: BraidWord) -> int:
     """The abelianization B3 -> Z: signed letter count."""
-    return sum(1 if letter > 0 else -1 for letter in w.letters)
+    return len(w.letters) - 2 * (w.letters.count(-1) + w.letters.count(-2))
 
 
 def garside_power(k: int) -> BraidWord:
@@ -177,8 +177,6 @@ class BurauMat:
 #   s2^-n = [[r^-n, 0], [r^-n G_n(r), 1]]      = [[(-1/q)^n, 0], [-G_n(-1/q)/q, 1]]
 # A power of s1 rescales column 2 by r^p (p = +-n) and adds column 1
 # times its G term; a power of s2 does the same with the columns swapped.
-_R_ZERO: tuple[int, list[int]] = (0, [])
-_R_ONE: tuple[int, list[int]] = (0, [1])
 
 
 def _syllable_entry(keep: tuple[int, list[int]], moved: tuple[int, list[int]],
@@ -195,17 +193,23 @@ def _syllable_entry(keep: tuple[int, list[int]], moved: tuple[int, list[int]],
     m_off, m = moved
     if not m:
         return k_off + p, k
-    m_off += (abs(letter) == 1) + min(p, 0)
+    m_off += (letter in (1, -1)) + (p if p < 0 else 0)
     if n > 1:
         m = list(accumulate(map(sub, m + [0] * (n - 1), [0] * n + m[:-1])))
     return dense_add(k_off + p, k, m_off, m, 1 if letter in (1, -2) else -1)
 
 
 def _r_to_laurent(entry: tuple[int, list[int]]) -> HalfLaurent:
-    """A dense polynomial in r = -q as an element of Z[sqrt(q), 1/sqrt(q)]."""
+    """A dense polynomial in r = -q as an element of Z[sqrt(q), 1/sqrt(q)].
+
+    r^e goes to s-exponent 2e; the odd powers of r, every fourth slot from
+    0 or 2 by the parity of the offset, change sign in one slice.
+    """
     off, coeffs = entry
     s_coeffs = [0] * (2 * len(coeffs) - 1)
-    s_coeffs[::2] = [-c if e & 1 else c for e, c in enumerate(coeffs, off)]
+    s_coeffs[::2] = coeffs
+    odd = slice(0 if off & 1 else 2, None, 4)
+    s_coeffs[odd] = map(neg, s_coeffs[odd])
     return HalfLaurent.from_dense(2 * off, s_coeffs)
 
 
@@ -216,9 +220,9 @@ def burau(w: BraidWord) -> BurauMat:
     the generator powers above, on dense coefficient lists; a syllable
     costs time linear in the degree so far plus its length.
     """
-    m11, m12, m21, m22 = _R_ONE, _R_ZERO, _R_ZERO, _R_ONE
+    m11, m12, m21, m22 = (0, [1]), (0, []), (0, []), (0, [1])
     for letter, n in w.syllables():
-        if abs(letter) == 1:
+        if letter in (1, -1):
             m12 = _syllable_entry(m12, m11, letter, n)
             m22 = _syllable_entry(m22, m21, letter, n)
         else:
@@ -228,11 +232,19 @@ def burau(w: BraidWord) -> BurauMat:
 
 
 def phi(w: BraidWord) -> sl2z.Mat2Z:
-    """The integer matrix image of w under s1 -> S, s2 -> T, one syllable at a time."""
-    m = sl2z.IDENTITY
+    """The integer matrix image of w under s1 -> S, s2 -> T, one syllable at a time.
+
+    Folded in four integers: S^p adds p times column 1 to column 2, T^p takes
+    p times column 2 from column 1.  Mat2Z checks the determinant once, at the end.
+    """
+    a, b, c, d = 1, 0, 0, 1
     for letter, n in w.syllables():
-        m = m * sl2z.gen_power("S" if abs(letter) == 1 else "T", n if letter > 0 else -n)
-    return m
+        p = n if letter > 0 else -n
+        if letter in (1, -1):
+            b, d = b + p * a, d + p * c
+        else:
+            a, c = a - p * b, c - p * d
+    return sl2z.Mat2Z(a, b, c, d)
 
 
 def trace_b3(w: BraidWord) -> int:

@@ -60,24 +60,27 @@ def dense_add(a_off: int, a: Sequence[int], b_off: int, b: Sequence[int],
     """a + sign * b for dense polynomials stored as (offset, coefficients).
 
     The pair stands for sum(c * x**(offset + i)).  The result has no zero
-    at either end, and zero is (0, []).
+    at either end, and zero is (0, []).  A sum whose ends do not cancel,
+    the usual case, is returned at once; otherwise plain loops trim it.
     """
     if not b:
         return a_off, list(a)
     if not a:
         return b_off, list(b) if sign > 0 else [-c for c in b]
-    lo = min(a_off, b_off)
-    out = [0] * (max(a_off + len(a), b_off + len(b)) - lo)
+    lo = a_off if a_off < b_off else b_off
+    a_end, b_end = a_off + len(a), b_off + len(b)
+    out = [0] * ((a_end if a_end > b_end else b_end) - lo)
     i, j = a_off - lo, b_off - lo
     out[i:i + len(a)] = a
     out[j:j + len(b)] = map(add if sign > 0 else sub, out[j:j + len(b)], b)
+    if out[0] and out[-1]:
+        return lo, out
     while out and not out[-1]:
         out.pop()
-    if not out:
-        return 0, out
-    start = next(k for k, c in enumerate(out) if c)
-    del out[:start]
-    return lo + start, out
+    start = 0
+    while start < len(out) and not out[start]:
+        start += 1
+    return (lo + start if out else 0), out[start:]
 
 
 class HalfLaurent:
