@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -376,10 +377,17 @@ def fuzz_argvs(draw) -> list[str]:
 @example(["m", "-100000", str(-10**40)])
 @example(["m", "-99999", "1388"])
 def test_argv_fuzz_exits_cleanly(argv):
+    # Every limit is checked before any work, so no run may take long: the
+    # dearest examples above take about 0.5 s in process, and the bound is
+    # 2 s.  In process, status 1 only means a failing verify cell, which
+    # prints to stdout, so stderr is empty unless the input was rejected.
+    start = perf_counter()
     code, out, err = run_in_process(argv)
+    elapsed = perf_counter() - start
+    assert elapsed <= 2.0, (argv, elapsed)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in out + err, argv
-    if code == 0:
+    if code in (0, 1):
         assert err == "", argv
     if code == 2:
         assert "error:" in err, argv

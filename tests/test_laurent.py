@@ -3,12 +3,12 @@
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidforms.laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent,
                                 NEG_Q, NEG_SQRT_Q, NonDivisibleError, ONE, Q,
-                                SQRT_Q, ZERO, i_power, monomial_pow)
+                                SQRT_Q, ZERO, dense_add, i_power, monomial_pow)
 from oracles import SparseHalfLaurent
 
 polys = st.builds(
@@ -247,3 +247,42 @@ def test_exact_div_matches_sparse(p, d, r):
             assert got == want
         else:
             assert_agree(got, want)
+
+
+def as_dense(sparse) -> tuple[int, list[int]]:
+    """The (offset, coefficients) pair of laurent.dense_add for a sparse element."""
+    items = list(sparse.items())
+    if not items:
+        return 0, []
+    lo, hi = items[0][0], items[-1][0]
+    return lo, [sparse.coefficient(e) for e in range(lo, hi + 1)]
+
+
+# What a + sign * b should come to: b itself, a window of a's exponents
+# (so b cancels a above it, below it, or everywhere when the window is
+# empty), or the other term list.
+SUM_TARGETS = st.one_of(st.just("free"), st.tuples(st.integers(-61, 61), st.integers(-61, 61)),
+                        st.just("other"))
+
+
+@settings(max_examples=300)
+@given(term_lists, term_lists, st.sampled_from([1, -1]), SUM_TARGETS)
+@example([], [], 1, "free")
+@example([(-5, 2)], [], -1, "free")
+@example([], [(7, -3), (9, 1)], -1, "free")
+@example([(-9, 1), (3, 2)], [], 1, (1, 0))  # cancelled everywhere
+@example([(-9, 1), (3, 2)], [], 1, (-9, 2))  # top cancelled
+@example([(-9, 1), (3, 2)], [], -1, (-8, 3))  # bottom cancelled
+def test_dense_add_matches_sparse(p, r, sign, target):
+    sa = SparseHalfLaurent(p)
+    if target == "free":
+        sb = SparseHalfLaurent(r)
+    else:
+        want = (SparseHalfLaurent(r) if target == "other" else
+                SparseHalfLaurent((e, c) for e, c in sa.items() if target[0] <= e <= target[1]))
+        sb = (want - sa) * sign  # a + sign * b == want
+    (a_off, a), (b_off, b) = as_dense(sa), as_dense(sb)
+    a_copy, b_copy = list(a), list(b)
+    off, out = dense_add(a_off, a, b_off, b, sign)
+    assert (off, out) == as_dense(sa + sb * sign)
+    assert (a, b) == (a_copy, b_copy)
