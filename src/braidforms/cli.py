@@ -37,9 +37,9 @@ MAX_VERIFY_ABS_T_SUM = 3 * 10**6
 #: Largest invariants word, in letters after powers and --delta-power
 #: are expanded.
 MAX_WORD_LETTERS = 10**5
-#: Largest syllables x letters of an invariants word.  Each syllable of
-#: the Burau product costs time linear in the degree so far, so the word
-#: costs about this product; at this bound it takes about a second.
+#: Largest syllables x letters of an invariants word: each Burau syllable costs
+#: time linear in the degree so far.  At this bound, "1^2500 2^2500" 20 times
+#: takes about 3.5 s and prints 26 MB of JSON.
 MAX_WORD_COST = 4 * 10**6
 
 
