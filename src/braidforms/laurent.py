@@ -67,12 +67,12 @@ def dense_add(a_off: int, a: Sequence[int], b_off: int, b: Sequence[int],
         return a_off, list(a)
     if not a:
         return b_off, list(b) if sign > 0 else [-c for c in b]
-    lo = a_off if a_off < b_off else b_off
     a_end, b_end = a_off + len(a), b_off + len(b)
+    lo = a_off if a_off < b_off else b_off
     out = [0] * ((a_end if a_end > b_end else b_end) - lo)
-    i, j = a_off - lo, b_off - lo
-    out[i:i + len(a)] = a
-    out[j:j + len(b)] = map(add if sign > 0 else sub, out[j:j + len(b)], b)
+    out[a_off - lo:a_end - lo] = a
+    j, k = b_off - lo, b_end - lo
+    out[j:k] = map(add if sign > 0 else sub, out[j:k], b)
     if out[0] and out[-1]:
         return lo, out
     while out and not out[-1]:
