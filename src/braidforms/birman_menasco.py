@@ -52,23 +52,14 @@ def family_iv_word(u: int, v: int, w: int, k: int) -> BraidWord:
                      + (-1,) + _power_word(2, w))
 
 
-def _check_family_iii(u: int, v: int, w: int, k: int) -> None:
-    if min(u, v, w) < 1 or u == w or v < 2 or k not in (0, 1):
-        raise ValueError(f"outside the family-iii domain: u={u} v={v} w={w} k={k}")
-
-
-def _check_family_iv(u: int, v: int, w: int, k: int) -> None:
-    if min(u, v, w) < 1 or len({u, v, w}) != 3 or k not in (1, 2):
-        raise ValueError(f"outside the family-iv domain: u={u} v={v} w={w} k={k}")
-
-
 def family_iii_trace_exp(u: int, v: int, w: int, k: int) -> tuple[int, int]:
     """Closed trace and exponent of the family-iii classes.
 
     trace = (-1)^k (2 + (u+w)(1+v) + uvw), exponent = u+w-v-1+6k;
     symmetric in u and w.
     """
-    _check_family_iii(u, v, w, k)
+    if min(u, v, w) < 1 or u == w or v < 2 or k not in (0, 1):
+        raise ValueError(f"outside the family-iii domain: u={u} v={v} w={w} k={k}")
     sign = -1 if k % 2 else 1
     return (sign * (2 + (u + w) * (1 + v) + u * v * w), u + w - v - 1 + 6 * k)
 
@@ -81,7 +72,8 @@ def family_iv_trace_exp(u: int, v: int, w: int, k: int) -> tuple[int, int]:
     fully symmetric.  The grouping was calibrated against direct
     matrix computation on the explicit words.
     """
-    _check_family_iv(u, v, w, k)
+    if min(u, v, w) < 1 or len({u, v, w}) != 3 or k not in (1, 2):
+        raise ValueError(f"outside the family-iv domain: u={u} v={v} w={w} k={k}")
     e1 = u + v + w
     e2 = u * v + v * w + w * u
     e3 = u * v * w

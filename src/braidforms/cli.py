@@ -88,12 +88,23 @@ def _cmd_classes(args: argparse.Namespace) -> Record:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> Record:
-    word = braid3.BraidWord.parse(args.word)
+    # The word's size is read from its tokens and K, before any letter
+    # list is built; D^K adds 3|K| letters and about 2|K| syllables.
+    syllables = braid3.parse_syllables(args.word)
     k = args.delta_power
+    letters = 3 * abs(k) + sum(count for _, count in syllables)
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(f"the word has {letters} letters, which exceeds "
+                         f"the limit {MAX_WORD_LETTERS}")
+    cost = (len(syllables) + 2 * abs(k)) * letters
+    if cost > MAX_WORD_COST:
+        raise ValueError(f"syllables x letters = {cost} exceeds the limit "
+                         f"{MAX_WORD_COST}")
+    word = braid3.BraidWord.parse(args.word)
     if k > 0:
         word = braid3.garside_power(k) * word
     elif k < 0:
-        word = braid3.BraidWord((-1, -2, -1) * (-k)) * word
+        word = braid3.garside_power(-k).inverse() * word
     eps = braid3.exponent_sum(word)
     tr = braid3.trace_b3(word)
     mat = braid3.phi(word)
@@ -124,6 +135,8 @@ def _cmd_m(args: argparse.Namespace) -> Record:
 
 
 def _cmd_census(args: argparse.Namespace) -> Record:
+    if args.max_len > MAX_CENSUS_LEN:
+        raise ValueError(f"--max-len {args.max_len} exceeds the limit {MAX_CENSUS_LEN}")
     lower = counts.braid_census(args.t, args.n, args.max_len)
     exact = counts.class_count(args.t, args.n)
     return _cell({"t": args.t, "n": args.n, "max_len": args.max_len,
@@ -133,6 +146,10 @@ def _cmd_census(args: argparse.Namespace) -> Record:
 def _cmd_verify(args: argparse.Namespace) -> Record:
     if args.tmin > args.tmax:
         raise ValueError("empty t range")
+    total = sum(map(abs, range(args.tmin, args.tmax + 1)))
+    if total > MAX_VERIFY_ABS_T_SUM:
+        raise ValueError(f"sum of |t| over the range = {total} exceeds "
+                         f"the limit {MAX_VERIFY_ABS_T_SUM}")
     results = []
     skipped = []
     for t in range(args.tmin, args.tmax + 1):
@@ -201,31 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_limits(args: argparse.Namespace) -> None:
-    """Reject oversized inputs before any work is allocated for them."""
+    """Reject an oversized |t| before any work is allocated for it."""
     for name in ("t", "tmin", "tmax"):
         value = getattr(args, name, None)
         if value is not None and abs(value) > MAX_ABS_T:
             raise ValueError(f"|{name}| = {abs(value)} exceeds the limit {MAX_ABS_T}")
-    if getattr(args, "max_len", 0) > MAX_CENSUS_LEN:
-        raise ValueError(f"--max-len {args.max_len} exceeds the limit {MAX_CENSUS_LEN}")
-    if args.command == "verify" and args.tmin <= args.tmax:
-        total = sum(map(abs, range(args.tmin, args.tmax + 1)))
-        if total > MAX_VERIFY_ABS_T_SUM:
-            raise ValueError(f"sum of |t| over the range = {total} exceeds "
-                             f"the limit {MAX_VERIFY_ABS_T_SUM}")
-    if args.command == "invariants":
-        # The word's size is read from its tokens and K, before any letter
-        # list is built; D^K adds 3|K| letters and about 2|K| syllables.
-        syllables = braid3.parse_syllables(args.word)
-        k = abs(args.delta_power)
-        letters = 3 * k + sum(count for _, count in syllables)
-        if letters > MAX_WORD_LETTERS:
-            raise ValueError(f"the word has {letters} letters, which exceeds "
-                             f"the limit {MAX_WORD_LETTERS}")
-        cost = (len(syllables) + 2 * k) * letters
-        if cost > MAX_WORD_COST:
-            raise ValueError(f"syllables x letters = {cost} exceeds the limit "
-                             f"{MAX_WORD_COST}")
 
 
 def _render(record: Record, command: str, fmt: str) -> str:

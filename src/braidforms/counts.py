@@ -162,8 +162,8 @@ def check_window_symmetry(t: int, n: int) -> SymmetryReport:
 # --- braid census ------------------------------------------------------
 
 # Right multiplication by each letter: its matrix image and exponent.
-_LETTERS = [braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS]
-_STEPS = tuple((astuple(braid3.phi(w)), braid3.exponent_sum(w)) for w in _LETTERS)
+_STEPS = tuple((astuple(braid3.phi(w)), braid3.exponent_sum(w))
+               for w in (braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS))
 
 
 def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[int, int], int]:
@@ -180,11 +180,11 @@ def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[in
     reach no tracked cell and is dropped; each prefix of a geodesic to a
     tracked state lies within that distance, so no tracked state is
     lost.  The deepest level is streamed into the cells, never stored.
-    Each cell keeps its distinct forms, which are reduced to class keys
-    once, after the search.  Only cells with t in traces and n in
-    exponents (ranges of step 1), t != +-2, are tracked.
+    Each recorded state's form is reduced to its class key at once, and
+    each cell keeps its distinct keys.  Only cells with t in traces and n
+    in exponents (ranges of step 1), t != +-2, are tracked.
     """
-    cells: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
+    cells: dict[tuple[int, int], set[FormClassKey]] = {}
 
     def neighbours(previous: set, level: set, slack: int):
         """States one letter beyond level within slack of the window, with repeats."""
@@ -200,7 +200,7 @@ def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[in
         for a, b, c, d, eps in states:
             t = a + d
             if t in traces and eps in exponents and t not in (2, -2):
-                cells.setdefault((t, eps), set()).add((b, d - a, -c))
+                cells.setdefault((t, eps), set()).add(quadforms.reduce(QForm(b, d - a, -c)))
 
     previous, level = set(), {(1, 0, 0, 1, 0)}
     for depth in range(1, max_len + 1):
@@ -208,8 +208,7 @@ def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[in
         following = neighbours(previous, level, max_len - depth)
         previous, level = level, set(following) if depth < max_len else following
     record(level)
-    return {cell: len({quadforms.reduce(QForm(*f)) for f in forms})
-            for cell, forms in cells.items()}
+    return {cell: len(keys) for cell, keys in cells.items()}
 
 
 def braid_census(t: int, n: int, max_len: int) -> int:

@@ -86,7 +86,7 @@ def dense_add(a_off: int, a: Sequence[int], b_off: int, b: Sequence[int],
 class HalfLaurent:
     """An element of Z[sqrt(q), 1/sqrt(q)] in canonical dense form."""
 
-    __slots__ = ("_off", "_coeffs", "_hash")
+    __slots__ = ("_off", "_coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -94,13 +94,12 @@ class HalfLaurent:
         self._off = min(terms, default=0)
         top = max(terms, default=-1)
         self._coeffs = tuple(terms.get(e, 0) for e in range(self._off, top + 1))
-        self._hash = None
 
     @classmethod
     def from_dense(cls, offset: int, coeffs: Sequence[int]) -> "HalfLaurent":
         """Wrap coefficients from s-exponent offset up, with no zero at either end."""
         res = cls.__new__(cls)
-        res._off, res._coeffs, res._hash = offset if coeffs else 0, tuple(coeffs), None
+        res._off, res._coeffs = offset if coeffs else 0, tuple(coeffs)
         return res
 
     @classmethod
@@ -137,13 +136,10 @@ class HalfLaurent:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if self._off == 0 and len(self._coeffs) <= 1:
-                # A constant hashes as the int it equals.
-                self._hash = hash(self.coefficient(0))
-            else:
-                self._hash = hash(tuple(self.items()))
-        return self._hash
+        if self._off == 0 and len(self._coeffs) <= 1:
+            # A constant hashes as the int it equals.
+            return hash(self.coefficient(0))
+        return hash(tuple(self.items()))
 
     def __neg__(self) -> "HalfLaurent":
         return HalfLaurent.from_dense(self._off, [-c for c in self._coeffs])
@@ -169,7 +165,7 @@ class HalfLaurent:
         if len(a) < len(b):
             a, b = b, a
         if not b:
-            return _ZERO
+            return ZERO
         # One shifted, scaled copy of the longer operand per term of the
         # shorter; the end coefficients are products of nonzero integers.
         out = [0] * (len(a) + len(b) - 1)
@@ -191,8 +187,6 @@ class HalfLaurent:
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return _ZERO
         rem = list(self._coeffs)
         *lower, d_lead = divisor._coeffs
         d_deg = len(lower)
@@ -240,9 +234,7 @@ class HalfLaurent:
         return f"HalfLaurent({dict(self.items())!r})"
 
 
-_ZERO = HalfLaurent()
-
-ZERO = _ZERO
+ZERO = HalfLaurent()
 ONE = HalfLaurent({0: 1})
 Q = HalfLaurent({2: 1})
 SQRT_Q = HalfLaurent({1: 1})

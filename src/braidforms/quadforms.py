@@ -19,6 +19,7 @@ cycles to reduced cycles, so one cycle walk finds an orbit of up to 4 classes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -231,14 +232,14 @@ def _sqrt_mod(n: int, p: int) -> int | None:
     return r
 
 
-def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
+def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
     """One reduced form per mirror orbit, of discriminant D = t^2 - 4, |t| >= 3.
 
     With T = |t|, isqrt(D) = T - 1 and b = T - 2u, the reduction
     conditions 0 < b < sqrt(D), ac = (b^2 - D)/4 and sqrt(D) - b < 2|a|
     < sqrt(D) + b say: the reduced forms are (x, b, -y) and (-x, b, y)
     with xy = u(T - u) - 1 and u <= x <= T - u - 1.  Each mirror orbit
-    meets the forms returned here, (x, b, -y) with u <= x <= y.  Those
+    meets the forms yielded here, (x, b, -y) with u <= x <= y.  Those
     are reduced: u^2 <= xy < u(T - u) and x^2 <= xy < uv with v = T - u
     > u, so u < T/2 and x < v.  And every reduced form with 0 < a <= -c
     is one, as 2u - 1 < 2x.
@@ -274,14 +275,12 @@ def _reduced_indefinite_forms(t: int) -> list[tuple[int, int, int]]:
         elif m == 1 and (s := _sqrt_mod(disc, p)) is not None:
             half = (p + 1) // 2  # the inverse of 2 mod p
             roots[x] = tuple({(big + s) * half % p, (big - s) * half % p})
-    out = []
     for x in range(1, top + 1):
         for r in roots[x]:
             u = r or x
             prod = u * (big - u) - 1
             if x * x <= prod:
-                out.append((x, big - 2 * u, -(prod // x)))
-    return out
+                yield x, big - 2 * u, -(prod // x)
 
 
 def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, int, int]], ...]:

@@ -155,6 +155,34 @@ def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, or None.
+
+    The (p + 1)/4 power when p = 3 mod 4.  Otherwise Cipolla's method:
+    with a^2 - n a non-residue, (a + w)^((p + 1)/2) in F_p[w]/(w^2 - a^2
+    + n) lies in F_p and squares to n.  It shares no code with the
+    library's Tonelli-Shanks root.
+    """
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    a = 1
+    while pow(a * a - n, (p - 1) // 2, p) != p - 1:
+        a += 1
+    w2 = (a * a - n) % p
+    x, y, bx, by, e = 1, 0, a, 1, (p + 1) // 2
+    while e:
+        if e & 1:
+            x, y = (x * bx + y * by * w2) % p, (x * by + y * bx) % p
+        bx, by = (bx * bx + by * by * w2) % p, 2 * bx * by % p
+        e >>= 1
+    return x
+
+
 def divisor_sieve_reduced_forms(t: int) -> list[tuple[int, int, int]]:
     """All reduced forms of discriminant D = t^2 - 4, |t| >= 3, sorted.
 
@@ -177,7 +205,7 @@ def divisor_sieve_reduced_forms(t: int) -> list[tuple[int, int, int]]:
         if p == 2:
             hits = (1,) if big % 2 == 0 else ()
         else:
-            s = quadforms._sqrt_mod(disc, p)
+            s = sqrt_mod_prime(disc, p)
             if s is None:
                 continue
             half = (p + 1) // 2  # the inverse of 2 mod p

@@ -95,6 +95,27 @@ class TestFamilyIV:
             family_iv_trace_exp(-1, 2, 3, 1)
 
 
+@pytest.mark.parametrize("trace_exp, word, params, error", [
+    (family_iii_trace_exp, family_iii_word, (2, 2, 2, 0), "iii"),   # u == w
+    (family_iii_trace_exp, family_iii_word, (1, 1, 3, 0), "iii"),   # v < 2
+    (family_iii_trace_exp, family_iii_word, (1, 2, 3, -1), "iii"),  # k < 0
+    (family_iii_trace_exp, family_iii_word, (1, 2, 3, 2), "iii"),   # k > 1
+    (family_iii_trace_exp, family_iii_word, (1, 2, 0, 1), "iii"),   # zero power
+    (family_iii_trace_exp, family_iii_word, (1, 2, 2, 1), None),    # least v, k = 1
+    (family_iv_trace_exp, family_iv_word, (3, 1, 3, 1), "iv"),      # repeated power
+    (family_iv_trace_exp, family_iv_word, (1, 2, 3, 0), "iv"),      # k < 1
+    (family_iv_trace_exp, family_iv_word, (1, 2, 3, 3), "iv"),      # k > 2
+    (family_iv_trace_exp, family_iv_word, (1, 0, 3, 2), "iv"),      # zero power
+    (family_iv_trace_exp, family_iv_word, (3, 1, 2, 2), None),      # least powers, k = 2
+])
+def test_family_domains(trace_exp, word, params, error):
+    if error is None:
+        assert trace_exp(*params) == direct(word(*params))
+    else:
+        with pytest.raises(ValueError, match=f"outside the family-{error} domain"):
+            trace_exp(*params)
+
+
 class TestTorusAndUnknotValues:
     def test_unknot_classes(self):
         assert direct(BraidWord((1, 2))) == (1, 2)

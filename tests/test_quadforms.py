@@ -1,6 +1,8 @@
 """Tests for form reduction, class enumeration, and the matrix correspondence."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,10 @@ from braidforms.quadforms import (FormClassKey, QForm,
                                   class_number, enumerate_classes, equivalent,
                                   form_of_matrix, matrix_of_form, reduce)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
+import oracles
 from oracles import (conjugacy_components, divisor_sieve_reduced_forms,
                      evaluate, forms_with_bounded_coeffs, primes_upto,
-                     sl2_ball, substitute, trace_t_matrices,
+                     sl2_ball, sqrt_mod_prime, substitute, trace_t_matrices,
                      trial_division_reduced_forms)
 
 
@@ -225,16 +228,40 @@ class TestEnumerateClasses:
                 quarter(divisor_sieve_reduced_forms(t)), t
 
     def test_sqrt_mod(self):
-        # Every n below 400 mod each odd prime, 65537 = 1 mod 4 (the
-        # Tonelli-Shanks loop) and 99991 = 3 mod 4; None only on Euler's
+        # The library's root and the divisor-sieve oracle's own: every n
+        # below 400 mod each odd prime, 65537 = 1 mod 4 (the Tonelli-Shanks
+        # or Cipolla loop) and 99991 = 3 mod 4; None only on Euler's
         # criterion for a non-residue.
-        for p in primes_upto(400)[1:] + [65537, 99991]:
-            for n in range(min(p, 400)):
-                r = _sqrt_mod(n, p)
-                if r is None:
-                    assert pow(n, (p - 1) // 2, p) == p - 1, (n, p)
-                else:
-                    assert r * r % p == n, (n, p)
+        for sqrt_mod in (_sqrt_mod, sqrt_mod_prime):
+            for p in primes_upto(400)[1:] + [65537, 99991]:
+                for n in range(min(p, 400)):
+                    r = sqrt_mod(n, p)
+                    if r is None:
+                        assert pow(n, (p - 1) // 2, p) == p - 1, (n, p)
+                    else:
+                        assert r * r % p == n, (n, p)
+
+    def test_oracles_use_no_private_library_names(self):
+        # An oracle that calls the library's private helpers shares their
+        # faults, so tests/oracles.py may reach braidforms only through
+        # public names.
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        modules, private = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name).split(".")[0]
+                               for a in node.names if a.name.startswith("braidforms"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("braidforms"):
+                private += [a.name for a in node.names if a.name.startswith("_")]
+                modules.update(a.asname or a.name for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in modules:
+                    private.append(f"{ast.unparse(node)} (line {node.lineno})")
+        assert not private
 
     def test_cycles_close_under_neighbor_step(self):
         import math
