@@ -32,7 +32,7 @@ MAX_ABS_T = 10**5
 MAX_CENSUS_LEN = 16
 #: Largest sum of |t| over a verify range.  One t costs time about
 #: proportional to |t| (a little more per unit at large |t|); a range at
-#: this bound (3..2448) takes about 8 to 10 s.
+#: this bound (3..2448) takes 8 to 10 s, interpreter start included.
 MAX_VERIFY_ABS_T_SUM = 3 * 10**6
 #: Largest invariants word, in letters after powers and --delta-power
 #: are expanded.

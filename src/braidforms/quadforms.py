@@ -99,20 +99,11 @@ def _check_discriminant(disc: int) -> int:
 def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
     # Positive definite Gauss reduction: -a < b <= a <= c, b >= 0 if a == c.
     while True:
-        if c < a:
-            a, b, c = c, -b, a
-        elif b > a or b <= -a:
-            r = (b + a) % (2 * a)
-            bp = r - a
-            if bp == -a:
-                bp = a
-            k = (bp - b) // (2 * a)
-            c = a * k * k + b * k + c
-            b = bp
-        else:
-            if a == c and b < 0:
-                b = -b
-            return (a, b, c)
+        k = (a - b) // (2 * a)  # (x, y) -> (x + ky, y) brings b into (-a, a]
+        b, c = b + 2 * k * a, (a * k + b) * k + c
+        if a <= c:
+            return (a, abs(b) if a == c else b, c)
+        a, b, c = c, -b, a
 
 
 def _is_reduced_indefinite(f: tuple[int, int, int], root: int) -> bool:
@@ -178,7 +169,7 @@ def reduce(f: QForm) -> FormClassKey:
             rep = (-x, -y, -z)
         return FormClassKey(disc, rep)
     cycle = _indefinite_cycle(f.triple(), disc, root)
-    return FormClassKey(disc, min(cycle), cycle)
+    return FormClassKey(disc, cycle[0], cycle)
 
 
 def equivalent(f: QForm, g: QForm) -> bool:

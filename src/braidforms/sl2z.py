@@ -71,59 +71,34 @@ def st_product(word: STWord) -> Mat2Z:
     return m
 
 
-def _round_div(n: int, d: int) -> int:
-    # Nearest integer to n/d, ties toward +infinity.
-    if d < 0:
-        n, d = -n, -d
-    return (2 * n + d) // (2 * d)
-
-
 def decompose_st(m: Mat2Z) -> STWord:
     """Write m as a word in S and T powers.
 
-    The first column is reduced by the Euclidean algorithm: T powers
-    shrink the lower-left entry modulo the upper-left one and S powers
-    do the reverse, until the matrix is upper triangular; a final S
-    power and, for diagonal -1, the relation (ST)^3 = -I finish the
-    job.  The output word is not canonical; its defining property is
-    st_product(decompose_st(m)) == m.
+    The first column is reduced by the nearest-integer Euclidean
+    algorithm.  Each step takes the S power k = round(a/c), less one
+    when a = kc so that a stays nonzero, and then the T power that
+    leaves |c| <= |a|/2.  Once c is 0 what is left is +-S^b, and -I is
+    written (ST)^3.  Only the first and the last S power can be zero;
+    dropping them keeps the generators alternating.  The output word is
+    not canonical; its defining property is st_product(decompose_st(m)) == m.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     word: STWord = []  # product(word) == m * current^-1
-
-    def apply(gen: str, p: int) -> None:
-        nonlocal a, b, c, d
-        if p == 0:
-            return
-        if gen == "S":
-            a, b = a + p * c, b + p * d
-        else:
-            c, d = c - p * a, d - p * b
-        # Append the inverse step, merged into an equal neighbour so
-        # every stored power is nonzero.
-        if word and word[-1][0] == gen:
-            p -= word.pop()[1]
-            if p == 0:
-                return
-        word.append((gen, -p))
-
-    while c != 0:
-        if a == 0:
-            apply("S", 1)
-            continue
-        apply("T", _round_div(c, a))
-        if c != 0:
-            apply("S", -_round_div(a, c))
-    if a == 1:
-        apply("S", -b)
-    else:
-        # a == d == -1; clear b, then cancel -I against (ST)^3.
-        apply("S", b)
-        for _ in range(3):
-            apply("T", 1)
-            apply("S", 1)
-    assert (a, b, c, d) == (1, 0, 0, 1)
-    return word
+    while c:
+        k = (2 * a + c) // (2 * c)  # round(a/c), ties toward +infinity
+        if a == k * c:
+            k -= 1
+        a, b = a - k * c, b - k * d
+        word.append(("S", k))
+        p = (2 * c + a) // (2 * a)
+        c, d = c - p * a, d - p * b
+        word.append(("T", -p))
+    if a == -1:
+        word += [("S", 1), ("T", 1)] * 3
+        a, b, d = 1, -b, 1
+    assert (a, c, d) == (1, 0, 1)
+    word.append(("S", b))
+    return [(gen, p) for gen, p in word if p]
 
 
 def exponent_mod12(m: Mat2Z) -> int:

@@ -268,6 +268,37 @@ def rademacher_residue(m: Mat2Z) -> int:
     return (int(phi) + 9 * sign) % 12
 
 
+def cycle_sum_residue(cycle: tuple[tuple[int, int, int], ...], t: int) -> int:
+    """Exponent residue mod 12 of a trace-t class, from its reduced cycle alone.
+
+    The step from (a_i, b_i, c_i) to the next member has the partial
+    quotient k_i = (b_i + b_(i+1)) / (2|c_i|); s sums sign(a_i) k_i over
+    one period (Zagier's reading of Rademacher's function).  For a form
+    of content g > 1 the trace-|t| automorph is the m-th power of the
+    fundamental one of f/g, whose u_0^2 - (D/g^2) v_0^2 = 4 has the least
+    v_0 | g, and m is the index with V_m(u_0) = |t| in the Lucas
+    sequence V_0 = 2, V_1 = u_0, V_(j+1) = u_0 V_j - V_(j-1); else m = 1.
+    The residue is m s for t > 0 and 6 - m s for t < 0, mod 12.
+    Independent of any S/T decomposition and of Dedekind sums.
+    """
+    s = 0
+    for (a, b, c), (_, b_next, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        k, rem = divmod(b + b_next, 2 * abs(c))
+        assert rem == 0, cycle
+        s += k if a > 0 else -k
+    g, m = math.gcd(*cycle[0]), 1
+    if g > 1:
+        disc = (t * t - 4) // (g * g)
+        v0 = next(v for v in range(1, g + 1)
+                  if g % v == 0 and math.isqrt(disc * v * v + 4) ** 2 == disc * v * v + 4)
+        u0 = math.isqrt(disc * v0 * v0 + 4)
+        prev, cur = 2, u0
+        while cur != abs(t):
+            prev, cur = cur, u0 * cur - prev
+            m += 1
+    return (m * s if t > 0 else 6 - m * s) % 12
+
+
 def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:
     return tuple(rng.choice((1, -1, 2, -2))
                  for _ in range(rng.randrange(0, max_len + 1)))

@@ -1,6 +1,7 @@
 """Tests for form reduction, class enumeration, and the matrix correspondence."""
 
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -91,6 +92,26 @@ class TestReduce:
                 continue
             m = random_matrix(rng)
             assert reduce(act(m, f)) == reduce(f)
+
+    def test_every_reduced_definite_form_to_disc_minus_400(self):
+        # Each reduced form |b| <= a <= c, b >= 0 if |b| = a or a = c, and
+        # its negative, is its own key, and substitutions keep that key.
+        rng = random.Random(13)
+        pool = [random_matrix(rng) for _ in range(100)]
+        count = 0
+        for disc in [d for d in range(-400, 0) if d % 4 in (0, 1)]:
+            for a in range(1, math.isqrt(-disc // 3) + 1):
+                for b in range(1 - a, a + 1):
+                    c, rem = divmod(b * b - disc, 4 * a)
+                    if rem or c < a or (a == c and b < 0):
+                        continue
+                    for f in (QForm(a, b, c), QForm(-a, -b, -c)):
+                        key = reduce(f)
+                        assert key.rep == f.triple()
+                        for m in rng.sample(pool, 20):
+                            assert reduce(act(m, f)) == key, f
+                        count += 1
+        assert count == 2 * 1320  # the class numbers h(D), -400 <= D < 0, sum to 1320
 
     def test_disc_five_single_class(self):
         keys = {reduce(f) for f in forms_with_bounded_coeffs(5, 10)}

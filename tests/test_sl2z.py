@@ -5,7 +5,7 @@ import random
 import pytest
 
 from braidforms import braid3
-from braidforms.quadforms import is_conjugate
+from braidforms.quadforms import enumerate_classes, is_conjugate, matrix_of_form
 from braidforms.sl2z import (IDENTITY, Mat2Z, S, T, decompose_st,
                              exponent_mod12, gen_power, st_product)
 from oracles import (conjugacy_components, rademacher_residue, random_word,
@@ -20,6 +20,16 @@ def random_matrix(rng, syllables=6, max_power=5):
         power = rng.choice([p for p in range(-max_power, max_power + 1) if p])
         word.append((rng.choice("ST"), power))
     return st_product(word)
+
+
+def check_decomposition(m):
+    """Roundtrip, nonzero powers, alternating generators, exact residue."""
+    word = decompose_st(m)
+    assert st_product(word) == m
+    assert all(p != 0 for _, p in word), m
+    gens = [gen for gen, _ in word]
+    assert all(x != y for x, y in zip(gens, gens[1:])), m
+    assert sum(p for _, p in word) % 12 == rademacher_residue(m), m
 
 
 class TestMat2Z:
@@ -82,6 +92,22 @@ class TestDecompose:
         for _ in range(100_000):
             m = random_matrix(rng, syllables=5, max_power=6)
             assert st_product(decompose_st(m)) == m
+
+    def test_every_class_matrix_to_trace_50(self):
+        for t in [t for t in range(-50, 51) if t not in (2, -2)]:
+            for key in enumerate_classes(t):
+                check_decomposition(matrix_of_form(key.rep_form(), t))
+
+    def test_orbit_matrices_at_large_traces(self):
+        # The matrices the verify path decomposes: one class per mirror
+        # orbit (a, b, c) -> (-a, b, -c), (c, b, a), (-c, b, -a).
+        for t in (4999, -10000, 10**5):
+            seen = set()
+            for key in enumerate_classes(t):
+                if key.rep not in seen:
+                    seen.update(f for a, b, c in key.cycle
+                                for f in ((-a, b, -c), (c, b, a), (-c, b, -a)))
+                    check_decomposition(matrix_of_form(key.rep_form(), t))
 
 
 class TestExponentMod12:
