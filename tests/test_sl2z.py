@@ -29,7 +29,7 @@ def check_decomposition(m):
     assert all(p != 0 for _, p in word), m
     gens = [gen for gen, _ in word]
     assert all(x != y for x, y in zip(gens, gens[1:])), m
-    assert sum(p for _, p in word) % 12 == rademacher_residue(m), m
+    assert exponent_mod12(m) == rademacher_residue(m), m
 
 
 class TestMat2Z:
