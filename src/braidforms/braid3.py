@@ -18,6 +18,7 @@ letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, groupby
 from operator import neg, sub
 
@@ -73,14 +74,28 @@ class BraidWord:
             letters += [letter] * count
         return cls(tuple(letters))
 
+    # Derived once, on first use, into the instance dict of the immutable
+    # word; equality, hash and repr read only `letters`.
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((letter, len(list(run))) for letter, run in groupby(self.letters))
+
+    @cached_property
+    def _burau(self) -> BurauMat:
+        return _burau_product(self._runs)
+
+    @cached_property
+    def _phi(self) -> sl2z.Mat2Z:
+        return _phi_product(self._runs)
+
     def syllables(self) -> list[tuple[int, int]]:
         """The maximal runs of one letter, as (letter, count) pairs."""
-        return [(letter, len(list(run))) for letter, run in groupby(self.letters)]
+        return list(self._runs)
 
     def render(self) -> str:
         """Inverse of parse on its image: runs collapse to powers."""
         return " ".join(str(letter) if count == 1 else f"{letter}^{count}"
-                        for letter, count in self.syllables())
+                        for letter, count in self._runs)
 
     def __str__(self) -> str:
         return self.render()
@@ -218,10 +233,15 @@ def burau(w: BraidWord) -> BurauMat:
 
     The product is taken one syllable at a time, by the closed forms of
     the generator powers above, on dense coefficient lists; a syllable
-    costs time linear in the degree so far plus its length.
+    costs time linear in the degree so far plus its length.  It is taken
+    once per word and kept on the word.
     """
+    return w._burau
+
+
+def _burau_product(runs: tuple[tuple[int, int], ...]) -> BurauMat:
     m11, m12, m21, m22 = (0, [1]), (0, []), (0, []), (0, [1])
-    for letter, n in w.syllables():
+    for letter, n in runs:
         if letter in (1, -1):
             m12 = _syllable_entry(m12, m11, letter, n)
             m22 = _syllable_entry(m22, m21, letter, n)
@@ -235,10 +255,15 @@ def phi(w: BraidWord) -> sl2z.Mat2Z:
     """The integer matrix image of w under s1 -> S, s2 -> T, one syllable at a time.
 
     Folded in four integers: S^p adds p times column 1 to column 2, T^p takes
-    p times column 2 from column 1.  Mat2Z checks the determinant once, at the end.
+    p times column 2 from column 1.  Mat2Z checks the determinant once, at the
+    end.  It is taken once per word and kept on the word.
     """
+    return w._phi
+
+
+def _phi_product(runs: tuple[tuple[int, int], ...]) -> sl2z.Mat2Z:
     a, b, c, d = 1, 0, 0, 1
-    for letter, n in w.syllables():
+    for letter, n in runs:
         p = n if letter > 0 else -n
         if letter in (1, -1):
             b, d = b + p * a, d + p * c

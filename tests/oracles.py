@@ -306,16 +306,16 @@ def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:
 
 # Letter-by-letter Burau and integer matrix images: the generator images,
 # their exact symbolic inverses, and one sparse matrix product per letter.
-_BURAU_IDENTITY = BurauMat(ONE, ZERO, ZERO, ONE)
+BURAU_IDENTITY = BurauMat(ONE, ZERO, ZERO, ONE)
 
-_BURAU_GEN = {
+BURAU_GEN = {
     1: BurauMat(ONE, NEG_Q, ZERO, NEG_Q),
     -1: BurauMat(ONE, HalfLaurent({0: -1}), ZERO, HalfLaurent({-2: -1})),
     2: BurauMat(NEG_Q, ZERO, HalfLaurent({0: -1}), ONE),
     -2: BurauMat(HalfLaurent({-2: -1}), ZERO, HalfLaurent({-2: -1}), ONE),
 }
 
-_PHI_GEN = {
+PHI_GEN = {
     1: sl2z.S,
     -1: sl2z.S.inverse(),
     2: sl2z.T,
@@ -325,9 +325,9 @@ _PHI_GEN = {
 
 def burau(w: BraidWord) -> BurauMat:
     """The reduced Burau matrix of w: the ordered product of generator images."""
-    m = _BURAU_IDENTITY
+    m = BURAU_IDENTITY
     for letter in w.letters:
-        m = m * _BURAU_GEN[letter]
+        m = m * BURAU_GEN[letter]
     return m
 
 
@@ -335,7 +335,7 @@ def phi(w: BraidWord) -> sl2z.Mat2Z:
     """The integer matrix image of w under s1 -> S, s2 -> T."""
     m = sl2z.IDENTITY
     for letter in w.letters:
-        m = m * _PHI_GEN[letter]
+        m = m * PHI_GEN[letter]
     return m
 
 

@@ -168,6 +168,27 @@ def _geometric(x: HalfLaurent, n: int) -> HalfLaurent:
 NEG_INV_Q = HalfLaurent({-2: -1})
 
 
+class TestDerivedData:
+    """Runs and matrix images are kept on the word without changing it."""
+
+    def test_syllables_returns_a_fresh_list(self):
+        w = BraidWord.parse("1^3 -2 2^-2 1")
+        runs, mat = w.syllables(), burau(w)
+        runs.append((2, 5))
+        runs[0] = (-1, 1)
+        assert w.syllables() == [(1, 3), (-2, 3), (1, 1)]
+        assert w.render() == "1^3 -2^3 1"
+        assert burau(w) == mat == burau(BraidWord(w.letters))
+
+    def test_equal_words_built_apart(self):
+        parsed, built = BraidWord.parse("1^3 2"), BraidWord((1, 1, 1, 2))
+        for f in (burau, phi, alexander, jones):
+            assert f(parsed) == f(built), f.__name__
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built) == "BraidWord(letters=(1, 1, 1, 2))"
+        assert repr(BraidWord()) == "BraidWord(letters=())"
+
+
 class TestSyllableKernel:
     """The syllable Burau and phi products against the letter-by-letter oracles."""
 
@@ -186,9 +207,23 @@ class TestSyllableKernel:
                 assert burau(w) == mat == oracles.burau(w), (letter, n)
 
     def test_all_words_up_to_seven_letters(self):
-        for w in words_up_to(7):
-            assert burau(w) == oracles.burau(w), w
-            assert phi(w) == oracles.phi(w), w
+        # Each word's oracle images are its parent prefix's times one
+        # generator image: the left-to-right product of oracles.burau and
+        # oracles.phi, taken once per prefix.
+        level, checked = {(): (oracles.BURAU_IDENTITY, IDENTITY)}, 0
+        for length in range(8):
+            children = {}
+            for letters, (bur, mat) in level.items():
+                w = BraidWord(letters)
+                assert burau(w) == bur, w
+                assert phi(w) == mat, w
+                checked += 1
+                if length < 7:
+                    for letter in (1, -1, 2, -2):
+                        children[letters + (letter,)] = (bur * oracles.BURAU_GEN[letter],
+                                                         mat * oracles.PHI_GEN[letter])
+            level = children
+        assert checked == sum(4 ** n for n in range(8)) == 21845
 
     def test_random_words(self):
         rng = random.Random(20261018)

@@ -126,6 +126,26 @@ class TestInvariants:
         assert code == 2
         assert "out of range" in err and "position 2" in err
 
+    def test_products_taken_once_per_word(self, capsys, monkeypatch):
+        # The public burau and phi are called 2 and 3 times per word; the
+        # products behind them run once, on the word's first call.
+        calls = {}
+
+        def counted(name):
+            inner = getattr(braid3, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args)
+            monkeypatch.setattr(braid3, name, wrapper)
+
+        for name in ("burau", "phi", "_burau_product", "_phi_product"):
+            counted(name)
+        code, out, _ = run(capsys, "invariants", "1 2 -1 2^3",
+                           "--delta-power", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["eps"] == 10
+        assert calls == {"burau": 2, "phi": 3, "_burau_product": 1, "_phi_product": 1}
+
 
 class TestCounts:
     def test_text(self, capsys):

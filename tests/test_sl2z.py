@@ -15,11 +15,16 @@ NEG_I = Mat2Z(-1, 0, 0, -1)
 
 
 def random_matrix(rng, syllables=6, max_power=5):
-    word = []
+    """The product of a random S/T word, each power folded into four integers."""
+    powers = [p for p in range(-max_power, max_power + 1) if p]
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(rng.randrange(0, syllables + 1)):
-        power = rng.choice([p for p in range(-max_power, max_power + 1) if p])
-        word.append((rng.choice("ST"), power))
-    return st_product(word)
+        power = rng.choice(powers)
+        if rng.choice("ST") == "S":
+            b, d = b + power * a, d + power * c
+        else:
+            a, c = a - power * b, c - power * d
+    return Mat2Z(a, b, c, d)
 
 
 def check_decomposition(m):
