@@ -39,7 +39,7 @@ MAX_VERIFY_ABS_T_SUM = 3 * 10**6
 MAX_WORD_LETTERS = 10**5
 #: Largest syllables x letters of an invariants word: each Burau syllable costs
 #: time linear in the degree so far.  At this bound, "1^2500 2^2500" 20 times
-#: takes about 3.5 s and prints 26 MB of JSON.
+#: takes about 2.5 s and prints 26 MB of JSON.
 MAX_WORD_COST = 4 * 10**6
 
 
