@@ -25,10 +25,9 @@ sextuple) the family contributions and push link counts negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 
-from . import braid3
+from . import _value, braid3
 from .braid3 import BraidWord
 
 
@@ -147,15 +146,13 @@ def class_excess(t: int, n: int) -> int:
     return shared_closure_count(t, n) + _low_index_bonus(t, n)
 
 
-@dataclass(frozen=True)
-class ExceptionalWitness:
-    """One exceptional fiber in a cell: its words and shared invariants."""
+class ExceptionalWitness(_value.Value):
+    """One exceptional fiber in a cell: its words and shared invariants.
 
-    family: str  # "unknot" | "torus" | "family-iii" | "family-iv"
-    params: tuple[int, ...]
-    words: tuple[BraidWord, ...]
-    trace: int
-    exponent: int
+    The family is "unknot", "torus", "family-iii" or "family-iv".
+    """
+
+    __slots__ = ("family", "params", "words", "trace", "exponent")
 
     def to_json(self) -> dict:
         return {"family": self.family,

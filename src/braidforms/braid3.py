@@ -17,12 +17,11 @@ letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import neg, sub
 
-from . import sl2z
+from . import _value, sl2z
 from .laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent, NEG_INV_SQRT_Q,
                       NEG_Q, ONE, SQRT_Q, dense_add, i_power, monomial_pow)
 
@@ -38,11 +37,10 @@ class BraidParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_value.Value, defaults=((),)):
     """A finite word in the generators of B3 and their inverses."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters", "__dict__")
 
     def __post_init__(self) -> None:
         for letter in self.letters:
@@ -147,14 +145,10 @@ def garside_power(k: int) -> BraidWord:
     return BraidWord((1, 2, 1) * k)
 
 
-@dataclass(frozen=True)
-class BurauMat:
+class BurauMat(_value.Value):
     """A 2x2 matrix over Z[q^{+-1}], row-major entries."""
 
-    e11: HalfLaurent
-    e12: HalfLaurent
-    e21: HalfLaurent
-    e22: HalfLaurent
+    __slots__ = ("e11", "e12", "e21", "e22")
 
     def __mul__(self, other: "BurauMat") -> "BurauMat":
         return BurauMat(self.e11 * other.e11 + self.e12 * other.e21,

@@ -15,10 +15,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
-from . import birman_menasco, braid3, counts, quadforms
+from . import _value, birman_menasco, braid3, counts, quadforms
 
 SCHEMA = "bqf-braid/1"
 
@@ -43,15 +42,14 @@ MAX_WORD_LETTERS = 10**5
 MAX_WORD_COST = 4 * 10**6
 
 
-@dataclass(frozen=True)
-class Record:
-    """One command's result, ready for every output format."""
+class Record(_value.Value, defaults=(0,)):
+    """One command's result, ready for every output format.
 
-    payload: dict  # the JSON document without "schema" and "command"
-    header: list[str]  # CSV header
-    rows: list  # CSV rows
-    lines: list[str]  # text output, one entry per line
-    status: int = 0
+    The JSON payload lacks "schema" and "command"; header and rows are
+    the CSV output, and lines the text output, one entry per line.
+    """
+
+    __slots__ = ("payload", "header", "rows", "lines", "status")
 
 
 def _cell(fields: dict, *lines: str, **extra) -> Record:

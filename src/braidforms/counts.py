@@ -22,31 +22,22 @@ yields certified lower bounds for x_count that converge from below.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from functools import lru_cache
 
-from . import birman_menasco, braid3, quadforms, sl2z
+from . import _value, birman_menasco, braid3, quadforms, sl2z
 from .quadforms import FormClassKey, QForm
 
 
-@dataclass(frozen=True)
-class ClassWithExponent:
-    """A form class of discriminant trace^2 - 4 with its exponent residue."""
+class ClassWithExponent(_value.Value):
+    """A form class of discriminant trace^2 - 4 and the exponent mod 12 of its matrices."""
 
-    key: FormClassKey
-    trace: int
-    residue: int  # exponent mod 12 of any matrix representative
+    __slots__ = ("key", "trace", "residue")
 
 
-@dataclass(frozen=True)
-class CountsRow:
+class CountsRow(_value.Value):
     """One cell of the counting table: p = x_count - m >= 0."""
 
-    t: int
-    n: int
-    x_count: int
-    m: int
-    p: int
+    __slots__ = ("t", "n", "x_count", "m", "p")
 
     def to_json(self) -> dict:
         return {"t": self.t, "n": self.n, "x_count": self.x_count,
@@ -112,16 +103,10 @@ def default_sweep_exponent(t: int) -> int:
     return -abs(t - 3) - 24
 
 
-@dataclass(frozen=True)
-class MainIdentityReport:
+class MainIdentityReport(_value.Value):
     """Both sides of h(t) = sum_{j<12} (p + m)(t, n+j), with the rows."""
 
-    t: int
-    n: int
-    h: int
-    window_total: int
-    rows: tuple[CountsRow, ...]
-    ok: bool
+    __slots__ = ("t", "n", "h", "window_total", "rows", "ok")
 
     def to_json(self) -> dict:
         return {"t": self.t, "n": self.n, "h_lhs": self.h,
@@ -138,15 +123,10 @@ def check_main_identity(t: int, n: int) -> MainIdentityReport:
     return MainIdentityReport(t, n, h, total, rows, h == total)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(_value.Value):
     """Window sums of p at (t, n) and at (-t, n+6), which agree for low n."""
 
-    t: int
-    n: int
-    lhs: int
-    rhs: int
-    ok: bool
+    __slots__ = ("t", "n", "lhs", "rhs", "ok")
 
     def to_json(self) -> dict:
         return {"t": self.t, "n": self.n, "lhs": self.lhs, "rhs": self.rhs,
@@ -162,8 +142,9 @@ def check_window_symmetry(t: int, n: int) -> SymmetryReport:
 # --- braid census ------------------------------------------------------
 
 # Right multiplication by each letter: its matrix image and exponent.
-_STEPS = tuple((astuple(braid3.phi(w)), braid3.exponent_sum(w))
-               for w in (braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS))
+_STEPS = tuple(((m.a, m.b, m.c, m.d), braid3.exponent_sum(w))
+               for w in (braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS)
+               for m in [braid3.phi(w)])
 
 
 def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[int, int], int]:

@@ -12,20 +12,19 @@ the layout and its addition, dense_add.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from operator import add, sub
+
+from . import _value
 
 
 class NonDivisibleError(ArithmeticError):
     """Raised by exact_div when the divisor does not divide exactly."""
 
 
-@dataclass(frozen=True)
-class GaussInt:
+class GaussInt(_value.Value):
     """A Gaussian integer re + im*i with exact integer parts."""
 
-    re: int
-    im: int
+    __slots__ = ("re", "im")
 
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + other.re, self.im + other.im)

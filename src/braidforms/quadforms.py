@@ -20,19 +20,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import _value
 from .sl2z import Mat2Z
 
 
-@dataclass(frozen=True)
-class QForm:
+class QForm(_value.Value):
     """The form a*x^2 + b*xy + c*y^2 with integer coefficients."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -47,8 +44,7 @@ class QForm:
         return f"({self.a}, {self.b}, {self.c})"
 
 
-@dataclass(frozen=True)
-class FormClassKey:
+class FormClassKey(_value.Value, defaults=(None,), compared=("disc", "rep")):
     """Canonical key of a form equivalence class.
 
     ``rep`` is the unique reduced representative for negative
@@ -58,9 +54,7 @@ class FormClassKey:
     cycle tuple is derived data and excluded from comparisons.
     """
 
-    disc: int
-    rep: tuple[int, int, int]
-    cycle: tuple[tuple[int, int, int], ...] | None = field(default=None, compare=False)
+    __slots__ = ("disc", "rep", "cycle")
 
     def rep_form(self) -> QForm:
         return QForm(*self.rep)

@@ -9,21 +9,17 @@ power sum of any S/T decomposition of a matrix is well defined modulo
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from . import _value
 
 #: An S/T word: pairs (generator, power) with generator "S" or "T",
 #: multiplied left to right.
 STWord = list[tuple[str, int]]
 
 
-@dataclass(frozen=True)
-class Mat2Z:
+class Mat2Z(_value.Value):
     """A 2x2 integer matrix [[a,b],[c,d]] of determinant +1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
     def __post_init__(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
