@@ -31,24 +31,14 @@ from . import _value, braid3
 from .braid3 import BraidWord
 
 
-def _power_word(letter: int, count: int) -> tuple[int, ...]:
-    if count >= 0:
-        return (letter,) * count
-    return (-letter,) * (-count)
-
-
 def family_iii_word(u: int, v: int, w: int, k: int) -> BraidWord:
     """D^2k s1^-1 s2^u s1^-v s2^w."""
-    return BraidWord(braid3.garside_power(2 * k).letters
-                     + (-1,) + _power_word(2, u) + _power_word(-1, v) + _power_word(2, w))
+    return braid3.garside_power(2 * k) * BraidWord.parse(f"-1 2^{u} 1^{-v} 2^{w}")
 
 
 def family_iv_word(u: int, v: int, w: int, k: int) -> BraidWord:
     """D^2k s1^-1 s2^u s1^-1 s2^v s1^-1 s2^w."""
-    return BraidWord(braid3.garside_power(2 * k).letters
-                     + (-1,) + _power_word(2, u)
-                     + (-1,) + _power_word(2, v)
-                     + (-1,) + _power_word(2, w))
+    return braid3.garside_power(2 * k) * BraidWord.parse(f"-1 2^{u} -1 2^{v} -1 2^{w}")
 
 
 def family_iii_trace_exp(u: int, v: int, w: int, k: int) -> tuple[int, int]:
@@ -178,7 +168,7 @@ def witnesses(t: int, n: int) -> list[ExceptionalWitness]:
         out.append(_make_witness("family-" + family, (u, v, w, k), words))
     if _low_index_bonus(t, n):
         k, last = (t - 2, -2) if n == t - 3 else (2 - t, 2)
-        word = BraidWord(_power_word(1, k) + (last,))
+        word = BraidWord.parse(f"1^{k} {last}")
         family, params = ("unknot", ()) if abs(k) == 1 else ("torus", (k,))
         out.append(_make_witness(family, params, (word,)))
     return out

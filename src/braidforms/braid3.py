@@ -248,22 +248,15 @@ def _burau_product(runs: tuple[tuple[int, int], ...]) -> BurauMat:
 def phi(w: BraidWord) -> sl2z.Mat2Z:
     """The integer matrix image of w under s1 -> S, s2 -> T, one syllable at a time.
 
-    Folded in four integers: S^p adds p times column 1 to column 2, T^p takes
-    p times column 2 from column 1.  Mat2Z checks the determinant once, at the
-    end.  It is taken once per word and kept on the word.
+    Each run is one S or T power of sl2z.st_product.  It is taken once per
+    word and kept on the word.
     """
     return w._phi
 
 
 def _phi_product(runs: tuple[tuple[int, int], ...]) -> sl2z.Mat2Z:
-    a, b, c, d = 1, 0, 0, 1
-    for letter, n in runs:
-        p = n if letter > 0 else -n
-        if letter in (1, -1):
-            b, d = b + p * a, d + p * c
-        else:
-            a, c = a - p * b, c - p * d
-    return sl2z.Mat2Z(a, b, c, d)
+    return sl2z.st_product([("S" if letter in (1, -1) else "T", n if letter > 0 else -n)
+                            for letter, n in runs])
 
 
 def trace_b3(w: BraidWord) -> int:

@@ -10,9 +10,6 @@ closed before all output is written (as by `| head`), 2 for bad input.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from functools import cache
@@ -225,9 +222,12 @@ def _check_limits(args: argparse.Namespace) -> None:
 
 def _render(record: Record, command: str, fmt: str) -> str:
     if fmt == "json":
+        import json
         doc = {"schema": SCHEMA, "command": command, **record.payload}
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(record.header)

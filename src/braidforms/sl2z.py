@@ -42,7 +42,7 @@ class Mat2Z(_value.Value):
         return [[self.a, self.b], [self.c, self.d]]
 
     def __str__(self) -> str:
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
+        return str(self.as_rows())
 
 
 IDENTITY = Mat2Z(1, 0, 0, 1)
@@ -52,19 +52,24 @@ T = Mat2Z(1, 0, -1, 1)
 
 def gen_power(gen: str, p: int) -> Mat2Z:
     """S**p or T**p in closed form."""
-    if gen == "S":
-        return Mat2Z(1, p, 0, 1)
-    if gen == "T":
-        return Mat2Z(1, 0, -p, 1)
-    raise ValueError(f"unknown generator {gen!r}")
+    return st_product([(gen, p)])
 
 
 def st_product(word: STWord) -> Mat2Z:
-    """Multiply out an S/T word."""
-    m = IDENTITY
+    """Multiply out an S/T word, left to right, in four integers.
+
+    S^p adds p times column 1 to column 2, and T^p takes p times column 2
+    from column 1.  Mat2Z checks the determinant once, at the end.
+    """
+    a, b, c, d = 1, 0, 0, 1
     for gen, p in word:
-        m = m * gen_power(gen, p)
-    return m
+        if gen == "S":
+            b, d = b + p * a, d + p * c
+        elif gen == "T":
+            a, c = a - p * b, c - p * d
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return Mat2Z(a, b, c, d)
 
 
 def decompose_st(m: Mat2Z) -> STWord:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidforms import braid3, counts, quadforms
+from braidforms import birman_menasco, braid3, counts, quadforms
 from braidforms.cli import (MAX_ABS_T, MAX_CENSUS_LEN, MAX_VERIFY_ABS_T_SUM,
                             MAX_WORD_COST, MAX_WORD_LETTERS, build_parser, main)
 
@@ -455,6 +455,25 @@ class TestVerifyFailure:
         lines = out.splitlines()
         assert code == 1 and len(lines) == 25
         assert all(line.endswith(",1,0,false") for line in lines[1:])
+
+
+class TestLinkCountFailure:
+    # With more corrections than classes p goes negative: verify's one real
+    # failure, which every format reports as exit 2 with one stderr line.
+    @pytest.fixture(autouse=True)
+    def excess(self, monkeypatch):
+        monkeypatch.setattr(birman_menasco, "class_excess", lambda t, n: 5)
+
+    @pytest.mark.parametrize("argv, n", [
+        (("counts", "3", "0"), 0),
+        (("counts", "3", "0", "--format", "json"), 0),
+        (("counts", "3", "0", "--format", "csv"), 0),
+        (("verify", "--tmin", "3", "--tmax", "3"), -24),
+    ])
+    def test_exits_2_with_the_cell(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: cell (t=3, n={n}): correction m=5 exceeds class count 1\n"
 
 
 class TestMainCalls:

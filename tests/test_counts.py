@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from braidforms import quadforms, sl2z
+from braidforms import birman_menasco, quadforms, sl2z
 from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                census_table, check_main_identity,
                                check_window_symmetry, class_count, counts_row,
@@ -153,6 +153,13 @@ class TestLinkCount:
         assert err.cell == (5, 2)
         assert "m=3" in str(err)
 
+    def test_negative_p_raises(self, monkeypatch):
+        monkeypatch.setattr(birman_menasco, "class_excess", lambda t, n: 5)
+        with pytest.raises(LinkCountError) as info:
+            link_count(3, 0)
+        assert info.value.cell == (3, 0)
+        assert (info.value.x_count, info.value.m) == (1, 5)
+
 
 class TestMainIdentity:
     def test_cell_with_unknot(self):
@@ -184,6 +191,8 @@ class TestWindowSymmetry:
     def test_examples(self):
         assert check_window_symmetry(3, -30).ok
         assert check_window_symmetry(5, -40).ok
+        assert check_window_symmetry(3, -30).to_json() == {
+            "t": 3, "n": -30, "lhs": 1, "rhs": 1, "pass": True}
 
     def test_class_number_symmetry_underneath(self):
         for t in (3, 7, 19):

@@ -207,6 +207,23 @@ class TestIsConjugate:
             assert {frozenset(b) for b in buckets.values()} == by_oracle
 
 
+def test_st_product_matches_generator_products():
+    # st_product, gen_power and phi share one fold; this checks it against
+    # plain Mat2Z products, one generator matrix per unit of power.
+    rng = random.Random(1717)
+    units = {"S": (S, S.inverse()), "T": (T, T.inverse())}
+    for _ in range(300):
+        word = [(rng.choice("ST"), rng.choice([0, rng.randint(-50, 50)]))
+                for _ in range(rng.randrange(0, 8))]
+        expected = IDENTITY
+        for gen, p in word:
+            for _ in range(abs(p)):
+                expected = expected * units[gen][p < 0]
+        assert st_product(word) == expected, word
+        with pytest.raises(ValueError, match="^unknown generator 'U'$"):
+            st_product(word + [("U", 1), ("S", 1)])
+
+
 def test_gen_power_closed_forms():
     assert gen_power("S", 5) == st_product([("S", 1)] * 5)
     assert gen_power("T", -3) == T.inverse() * T.inverse() * T.inverse()

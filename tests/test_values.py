@@ -159,8 +159,10 @@ def test_word_with_cached_images_keeps_its_value_contract():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S leaves out site hooks, which may import either module themselves.
-    probe = "import sys, braidforms.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S leaves out site hooks, which may import any of these modules themselves.
+    # json and csv are imported by the output formats that use them.
+    probe = ("import sys, braidforms.cli; "
+             "print(sorted({'csv', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
