@@ -84,7 +84,8 @@ class BraidWord(_value.Value, defaults=((),)):
 
     @cached_property
     def _phi(self) -> sl2z.Mat2Z:
-        return _phi_product(self._runs)
+        return sl2z.st_product([("S" if letter in (1, -1) else "T", n if letter > 0 else -n)
+                                for letter, n in self._runs])
 
     def syllables(self) -> list[tuple[int, int]]:
         """The maximal runs of one letter, as (letter, count) pairs."""
@@ -139,10 +140,9 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def garside_power(k: int) -> BraidWord:
-    """The word (s1 s2 s1)**k for k >= 0; exponent sum 3k."""
-    if k < 0:
-        raise ValueError("negative powers are built from inverse letters by the caller")
-    return BraidWord((1, 2, 1) * k)
+    """The word (s1 s2 s1)**k, or its inverse (-1 -2 -1)**-k for k < 0; exponent sum 3k."""
+    s = 1 if k >= 0 else -1
+    return BraidWord((s, 2 * s, s) * abs(k))
 
 
 class BurauMat(_value.Value):
@@ -252,11 +252,6 @@ def phi(w: BraidWord) -> sl2z.Mat2Z:
     word and kept on the word.
     """
     return w._phi
-
-
-def _phi_product(runs: tuple[tuple[int, int], ...]) -> sl2z.Mat2Z:
-    return sl2z.st_product([("S" if letter in (1, -1) else "T", n if letter > 0 else -n)
-                            for letter, n in runs])
 
 
 def trace_b3(w: BraidWord) -> int:

@@ -96,10 +96,8 @@ def _cmd_invariants(args: argparse.Namespace) -> Record:
         raise ValueError(f"syllables x letters = {cost} exceeds the limit "
                          f"{MAX_WORD_COST}")
     word = braid3.BraidWord.parse(args.word)
-    if k > 0:
+    if k:
         word = braid3.garside_power(k) * word
-    elif k < 0:
-        word = braid3.garside_power(-k).inverse() * word
     eps = braid3.exponent_sum(word)
     tr = braid3.trace_b3(word)
     mat = braid3.phi(word)

@@ -91,12 +91,15 @@ def _check_discriminant(disc: int) -> int:
 
 
 def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # Positive definite Gauss reduction: -a < b <= a <= c, b >= 0 if a == c.
+    # Gauss reduction of s*(a, b, c), s the sign of a, to the positive
+    # definite -a < b <= a <= c, b >= 0 if a == c; the result is s times it.
+    s = 1 if a > 0 else -1
+    a, b, c = s * a, s * b, s * c
     while True:
         k = (a - b) // (2 * a)  # (x, y) -> (x + ky, y) brings b into (-a, a]
         b, c = b + 2 * k * a, (a * k + b) * k + c
         if a <= c:
-            return (a, abs(b) if a == c else b, c)
+            return (s * a, s * (abs(b) if a == c else b), s * c)
         a, b, c = c, -b, a
 
 
@@ -156,12 +159,7 @@ def reduce(f: QForm) -> FormClassKey:
     disc = f.discriminant()
     root = _check_discriminant(disc)
     if disc < 0:
-        if f.a > 0:
-            rep = _reduce_definite(f.a, f.b, f.c)
-        else:
-            x, y, z = _reduce_definite(-f.a, -f.b, -f.c)
-            rep = (-x, -y, -z)
-        return FormClassKey(disc, rep)
+        return FormClassKey(disc, _reduce_definite(f.a, f.b, f.c))
     cycle = _indefinite_cycle(f.triple(), disc, root)
     return FormClassKey(disc, cycle[0], cycle)
 

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from braidforms import braid3
+from braidforms import braid3, quadforms
 from braidforms.birman_menasco import (_family_solutions, class_excess,
                                        family_iii_trace_exp, family_iii_word,
                                        family_iv_trace_exp, family_iv_word,
@@ -246,3 +246,34 @@ class TestWitnesses:
         (wit,) = witnesses(3, 0)
         assert wit.to_json() == {"family": "unknot", "params": [],
                                  "words": ["1 -2"]}
+
+
+def assert_distinct_classes_same_closure(a, b):
+    # A fiber pair: one (trace, exponent) cell, two conjugacy classes (their
+    # phi images give inequivalent forms), one link (equal closure invariants).
+    assert direct(a) == direct(b)
+    assert (quadforms.reduce(quadforms.form_of_matrix(braid3.phi(a)))
+            != quadforms.reduce(quadforms.form_of_matrix(braid3.phi(b))))
+    assert braid3.jones(a) == braid3.jones(b)
+    assert braid3.alexander(a) == braid3.alexander(b)
+
+
+class TestFiberPairs:
+    def test_family_pairs_are_two_classes_of_one_link(self):
+        pairs = [(family_iii_word(u, v, w, k), family_iii_word(w, v, u, k))
+                 for u in range(1, 9) for w in range(u + 1, 9) for v in range(2, 9)
+                 for k in (0, 1)]
+        pairs += [(family_iv_word(u, v, w, k), family_iv_word(u, w, v, k))
+                  for v in range(1, 9) for w in range(v + 1, 9) for u in range(1, 9)
+                  if u not in (v, w) for k in (1, 2)]
+        assert len(pairs) == 728
+        for a, b in pairs:
+            assert_distinct_classes_same_closure(a, b)
+
+    def test_family_witnesses_are_two_classes_of_one_link(self):
+        pairs = [wit.words for t in range(-60, 61) if t not in (-2, 2)
+                 for n in range(-70, 71) for wit in witnesses(t, n)
+                 if wit.family.startswith("family-")]
+        assert len(pairs) == 88
+        for a, b in pairs:
+            assert_distinct_classes_same_closure(a, b)

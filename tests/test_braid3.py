@@ -108,9 +108,10 @@ class TestGarsidePower:
         assert len(w) == 12
         assert phi(w) == IDENTITY
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            garside_power(-1)
+    def test_negative_is_inverse(self):
+        for k in range(6):
+            assert garside_power(-k) == garside_power(k).inverse()
+            assert exponent_sum(garside_power(-k)) == -3 * k
 
 
 class TestBurau:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidforms import birman_menasco, braid3, counts, quadforms
+from braidforms import birman_menasco, braid3, counts, quadforms, sl2z
 from braidforms.cli import (MAX_ABS_T, MAX_CENSUS_LEN, MAX_VERIFY_ABS_T_SUM,
                             MAX_WORD_COST, MAX_WORD_LETTERS, build_parser, main)
 
@@ -131,20 +131,21 @@ class TestInvariants:
         # products behind them run once, on the word's first call.
         calls = {}
 
-        def counted(name):
-            inner = getattr(braid3, name)
+        def counted(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] = calls.get(name, 0) + 1
                 return inner(*args)
-            monkeypatch.setattr(braid3, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("burau", "phi", "_burau_product", "_phi_product"):
-            counted(name)
+        for name in ("burau", "phi", "_burau_product"):
+            counted(braid3, name)
+        counted(sl2z, "st_product")
         code, out, _ = run(capsys, "invariants", "1 2 -1 2^3",
                            "--delta-power", "2", "--format", "json")
         assert code == 0 and json.loads(out)["eps"] == 10
-        assert calls == {"burau": 2, "phi": 3, "_burau_product": 1, "_phi_product": 1}
+        assert calls == {"burau": 2, "phi": 3, "_burau_product": 1, "st_product": 1}
 
 
 class TestCounts:
