@@ -20,7 +20,7 @@ SCHEMA = "bqf-braid/1"
 
 #: Largest |t| any subcommand accepts.  Form enumeration takes time and
 #: memory near linear in |t|; at this bound one enumeration takes about
-#: 0.3 s and 37 MB, and `classes -100000` about 0.5 s as a CLI run.
+#: 0.2 s and 35 MB, and `classes -100000` about 0.4 s and 52 MB as a CLI run.
 MAX_ABS_T = 10**5
 #: Largest census word length.  The walk keeps only states that can still reach
 #: the asked exponent; at this bound the widest walk, at n = 0, takes about
@@ -28,7 +28,7 @@ MAX_ABS_T = 10**5
 MAX_CENSUS_LEN = 16
 #: Largest sum of |t| over a verify range.  One t costs time about
 #: proportional to |t| (a little more per unit at large |t|); a range at
-#: this bound (3..2448) takes 8 to 10 s, interpreter start included.
+#: this bound (3..2448) takes 4.5 to 7 s, interpreter start included.
 MAX_VERIFY_ABS_T_SUM = 3 * 10**6
 #: Largest invariants word, in letters after powers and --delta-power
 #: are expanded.

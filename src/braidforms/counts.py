@@ -55,28 +55,33 @@ class LinkCountError(RuntimeError):
         self.m = m
 
 
-@lru_cache(maxsize=4)
-def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
-    """All trace-t classes, one per form class, tagged with residues.
+def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, int], int]]:
+    """The trace-t class keys, and the exponent residue mod 12 by rep.
 
-    The exponent mod 12 is a class function, taken once per mirror
-    orbit from one matrix M of residue r.  The sigma-image is the class
-    of JMJ, J = diag(1, -1), which sends S, T to S^-1, T^-1: residue -r.
-    The rho-image is the class of JM^TJ; transposing reverses a word and
-    sends S, T to T^-1, S^-1: residue r.  The sigma-rho image has -r.
+    The residue is a class function, taken once per mirror orbit from the
+    matrix M of its first key, of residue r (Zagier 1975; Barge-Ghys 1992).
+    The sigma-image JMJ, J = diag(1, -1), sends S, T to S^-1, T^-1: -r; the
+    rho-image JM^TJ reverses words, S, T to T^-1, S^-1: r; sigma-rho: -r.
     """
-    if t in (2, -2):
-        raise ValueError("t = +-2 is excluded")
+    keys = quadforms.enumerate_classes(t)
+    rep_of = {form: key.rep for key in keys for form in key.cycle or ()}
     residues: dict[tuple[int, int, int], int] = {}
-    out = []
-    for key in quadforms.enumerate_classes(t):
+    for key in keys:
         if key.rep not in residues:
             r = residues[key.rep] = sl2z.exponent_mod12(quadforms.matrix_of_form(key.rep_form(), t))
-            if key.cycle:
-                for image, residue in zip(quadforms._mirrors(key.cycle), (-r % 12, r, -r % 12)):
-                    residues.setdefault(min(image), residue)
-        out.append(ClassWithExponent(key, t, residues[key.rep]))
-    return tuple(out)
+            if key.cycle:  # not one of the two definite classes of |t| <= 1
+                for (image,), residue in zip(quadforms._mirrors((key.rep,)), (-r % 12, r, -r % 12)):
+                    residues.setdefault(rep_of[image], residue)
+    return keys, residues
+
+
+@lru_cache(maxsize=4)
+def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
+    """All trace-t classes, one per form class, tagged with residues (_residues)."""
+    if t in (2, -2):
+        raise ValueError("t = +-2 is excluded")
+    keys, residues = _residues(t)
+    return tuple(ClassWithExponent(key, t, residues[key.rep]) for key in keys)
 
 
 def class_count(t: int, n: int) -> int:
@@ -85,12 +90,15 @@ def class_count(t: int, n: int) -> int:
     return sum(1 for cls in trace_classes(t) if cls.residue == residue)
 
 
-def counts_row(t: int, n: int) -> CountsRow:
-    x = class_count(t, n)
+def _row(t: int, n: int, x: int) -> CountsRow:
     m = birman_menasco.class_excess(t, n)
     if x - m < 0:
         raise LinkCountError(t, n, x, m)
     return CountsRow(t, n, x, m, x - m)
+
+
+def counts_row(t: int, n: int) -> CountsRow:
+    return _row(t, n, class_count(t, n))
 
 
 def link_count(t: int, n: int) -> int:
@@ -117,10 +125,13 @@ class MainIdentityReport(_value.Value):
 
 def check_main_identity(t: int, n: int) -> MainIdentityReport:
     """Evaluate the identity at (t, n); inequality is reported, not raised."""
-    h = quadforms.class_number(t)
-    rows = tuple(counts_row(t, n + j) for j in range(12))
+    keys, residues = _residues(t)
+    tally = [0] * 12
+    for r in residues.values():
+        tally[r] += 1
+    rows = tuple(_row(t, n + j, tally[(n + j) % 12]) for j in range(12))
     total = sum(r.p + r.m for r in rows)
-    return MainIdentityReport(t, n, h, total, rows, h == total)
+    return MainIdentityReport(t, n, len(keys), total, rows, len(keys) == total)
 
 
 class SymmetryReport(_value.Value):

@@ -116,8 +116,7 @@ def _neighbor(f: tuple[int, int, int], disc: int, root: int) -> tuple[int, int, 
     For |c| <= root the new middle coefficient is the largest value
     below sqrt(disc) in its residue class; otherwise it is the absolutely
     least one.  Iterating from any form of positive non-square
-    discriminant reaches a reduced form, and on reduced forms this step
-    walks the cycle.
+    discriminant reaches a reduced form, whose cycle the step walks.
     """
     _, b, c = f
     m = 2 * abs(c)
@@ -132,7 +131,11 @@ def _neighbor(f: tuple[int, int, int], disc: int, root: int) -> tuple[int, int, 
     return (c, bp, num // (4 * c))
 
 
-def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> tuple[tuple[int, int, int], ...]:
+def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> list[tuple[int, int, int]]:
+    """The reduced cycle of f, from the first reduced form _neighbor reaches.
+
+    On reduced forms |c| <= root, so the walk inlines _neighbor's second branch.
+    """
     g = f
     for _ in range(100000):
         if _is_reduced_indefinite(g, root):
@@ -141,11 +144,15 @@ def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> tuple[tu
     else:
         raise RuntimeError(f"reduction did not terminate on {f}")
     cycle = [g]
-    h = _neighbor(g, disc, root)
-    while h != g:
+    while True:
+        _, b, c = cycle[-1]
+        m = 2 * abs(c)
+        b = m * ((root + b) // m) - b
+        num = b * b - disc
+        assert num % (4 * c) == 0
+        if (h := (c, b, num // (4 * c))) == g:
+            return cycle
         cycle.append(h)
-        h = _neighbor(h, disc, root)
-    return _rotated(cycle)
 
 
 def _rotated(cycle: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
@@ -160,7 +167,7 @@ def reduce(f: QForm) -> FormClassKey:
     root = _check_discriminant(disc)
     if disc < 0:
         return FormClassKey(disc, _reduce_definite(f.a, f.b, f.c))
-    cycle = _indefinite_cycle(f.triple(), disc, root)
+    cycle = _rotated(_indefinite_cycle(f.triple(), disc, root))
     return FormClassKey(disc, cycle[0], cycle)
 
 
@@ -245,6 +252,8 @@ def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
     roots: list[tuple[int, ...]] = [(), (0,)] + [()] * (top - 1)
     for x in range(2, top + 1):
         p = q = spf[x]
+        if p < x and not roots[p]:  # no root mod p, so none mod x
+            continue
         while x // q % p == 0:
             q *= p
         m = x // q
@@ -290,9 +299,9 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     a separate negative definite class.
     Positive discriminant: the cycle of each form of
     _reduced_indefinite_forms not yet seen is walked, and its mirror
-    images (_mirrors) are the other classes of its orbit; some may
-    coincide with it.  Each cycle, started at its least member, is one
-    class, and the classes are sorted by that representative.
+    images (_mirrors) are the other classes of its orbit.  An image
+    whose first member is not yet seen is a new class, rotated to start
+    at its least member; the classes are sorted by that representative.
     """
     if t in (2, -2):
         raise ValueError("t = +-2 is excluded (discriminant 0)")
@@ -305,9 +314,9 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     for f in _reduced_indefinite_forms(t):
         if f in seen:
             continue
-        walked = _indefinite_cycle(f, disc, root)
-        for cycle in (walked, *map(_rotated, _mirrors(walked))):
-            if cycle[0] not in cycles:
+        for cycle in (walked := _indefinite_cycle(f, disc, root), *_mirrors(walked)):
+            if cycle[0] not in seen:
+                cycle = _rotated(cycle)
                 cycles[cycle[0]] = cycle
                 seen.update(cycle)
     return tuple(FormClassKey(disc, rep, cycles[rep]) for rep in sorted(cycles))

@@ -299,6 +299,45 @@ def cycle_sum_residue(cycle: tuple[tuple[int, int, int], ...], t: int) -> int:
     return (m * s if t > 0 else 6 - m * s) % 12
 
 
+def necklace_histogram(t: int) -> list[int]:
+    """Trace-t conjugacy classes by exponent residue mod 12, from braid words.
+
+    For |t| > 2 each class of trace |t| holds the positive words in
+    R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]] with both letters and
+    trace |t|, one cyclic word (necklace) per class.  Such a word is
+    R^a1 L^b1 ... R^ak L^bk up to a rotation of its blocks, and
+    R^a L^b = [[1 + ab, a], [b, 1]].  R is the image of s1 and L that of
+    s2^-1, so the residue is (#R - #L) mod 12; the classes of trace -|t|
+    are the negatives, -I = (s1 s2)^3 adding 6.  Every block raises the
+    trace of a product of nonnegative matrices, so a depth-first walk
+    over block sequences of trace at most |t| finds every word, and a
+    sequence is counted when it is the least rotation of its blocks.
+    """
+    big, hist = abs(t), [0] * 12
+    assert big > 2
+
+    def walk(blocks: tuple, m: tuple, shift: int) -> None:
+        a = 1
+        while True:
+            b = 1
+            while True:
+                p = tmul(m, (1 + a * b, a, b, 1))
+                if p[0] + p[3] > big:
+                    break
+                seq = blocks + ((a, b),)
+                if p[0] + p[3] < big:
+                    walk(seq, p, shift + a - b)
+                elif seq == min(seq[i:] + seq[:i] for i in range(len(seq))):
+                    hist[(shift + a - b + (6 if t < 0 else 0)) % 12] += 1
+                b += 1
+            if b == 1:
+                return
+            a += 1
+
+    walk((), (1, 0, 0, 1), 0)
+    return hist
+
+
 def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:
     return tuple(rng.choice((1, -1, 2, -2))
                  for _ in range(rng.randrange(0, max_len + 1)))

@@ -12,7 +12,8 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                trace_classes)
 from braidforms.quadforms import QForm
 from braidforms.sl2z import st_product
-from oracles import cycle_sum_residue, rademacher_residue, word_census_table
+from oracles import (cycle_sum_residue, necklace_histogram, rademacher_residue,
+                     word_census_table)
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -100,6 +101,36 @@ class TestTraceClasses:
         for t in traces + [4999, -10000, 30030, -99999, 10**5]:
             for cls in trace_classes(t):
                 assert cls.residue == cycle_sum_residue(cls.key.cycle, t), (t, cls.key.rep)
+
+
+def residue_histogram(t):
+    hist = [0] * 12
+    for cls in trace_classes(t):
+        hist[cls.residue] += 1
+    return hist
+
+
+class TestResidueHistogram:
+    def test_identity_rows_are_the_public_cells(self):
+        # check_main_identity tallies the residues once; its rows must be
+        # the cells counts_row gives, and its x_counts the histogram of
+        # trace_classes, over every residue of the window.
+        traces = [s * t for t in range(3, 301) for s in (1, -1)] + [-1, 0, 1, 4999, -10000]
+        for t in traces:
+            hist = residue_histogram(t)
+            for n in (default_sweep_exponent(t), 0):
+                report = check_main_identity(t, n)
+                assert report.rows == tuple(counts_row(t, n + j) for j in range(12)), (t, n)
+                assert [row.x_count for row in report.rows] == \
+                    [hist[(n + j) % 12] for j in range(12)], (t, n)
+                assert report.h == sum(hist) == quadforms.class_number(t)
+
+    def test_matches_braid_word_necklaces(self):
+        # The classes of trace t read off the positive R/L words (about 1 s).
+        for t in [s * t for t in range(3, 181) for s in (1, -1)]:
+            hist = residue_histogram(t)
+            assert necklace_histogram(t) == hist, t
+            assert sum(hist) == quadforms.class_number(t), t
 
 
 class TestClassCount:
