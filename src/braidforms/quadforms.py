@@ -110,47 +110,42 @@ def _is_reduced_indefinite(f: tuple[int, int, int], root: int) -> bool:
     return root - b + 1 <= 2 * abs(a) <= root + b
 
 
-def _neighbor(f: tuple[int, int, int], disc: int, root: int) -> tuple[int, int, int]:
-    """One reduction step (a,b,c) -> (c,b',c') with b' = -b mod 2|c|.
+def _steps(f: tuple[int, int, int], disc: int, root: int) -> Iterator[tuple[int, int, int]]:
+    """The forms after f under the step (a,b,c) -> (c,b',c'), b' = -b mod 2|c|.
 
-    For |c| <= root the new middle coefficient is the largest value
-    below sqrt(disc) in its residue class; otherwise it is the absolutely
-    least one.  Iterating from any form of positive non-square
+    For |c| > root the new middle coefficient is the absolutely least
+    value in its residue class; otherwise it is the largest value below
+    sqrt(disc).  Iterating from any form of positive non-square
     discriminant reaches a reduced form, whose cycle the step walks.
     """
     _, b, c = f
-    m = 2 * abs(c)
-    if abs(c) > root:
-        bp = (-b) % m
-        if bp > abs(c):
-            bp -= m
-    else:
-        bp = -b + m * ((root + b) // m)
-    num = bp * bp - disc
-    assert num % (4 * c) == 0
-    return (c, bp, num // (4 * c))
+    while True:
+        m = 2 * abs(c)
+        if abs(c) > root:
+            b = -b % m
+            if 2 * b > m:
+                b -= m
+        else:
+            b = m * ((root + b) // m) - b
+        num = b * b - disc
+        assert num % (4 * c) == 0
+        a, c = c, num // (4 * c)
+        yield a, b, c
 
 
 def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> list[tuple[int, int, int]]:
-    """The reduced cycle of f, from the first reduced form _neighbor reaches.
-
-    On reduced forms |c| <= root, so the walk inlines _neighbor's second branch.
-    """
+    """The reduced cycle of f, from the first reduced form _steps reaches."""
+    steps = _steps(f, disc, root)
     g = f
     for _ in range(100000):
         if _is_reduced_indefinite(g, root):
             break
-        g = _neighbor(g, disc, root)
+        g = next(steps)
     else:
         raise RuntimeError(f"reduction did not terminate on {f}")
     cycle = [g]
-    while True:
-        _, b, c = cycle[-1]
-        m = 2 * abs(c)
-        b = m * ((root + b) // m) - b
-        num = b * b - disc
-        assert num % (4 * c) == 0
-        if (h := (c, b, num // (4 * c))) == g:
+    for h in steps:
+        if h == g:
             return cycle
         cycle.append(h)
 
@@ -278,11 +273,12 @@ def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
 def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, int, int]], ...]:
     """The sigma, rho and sigma-rho images of a reduced cycle, unrotated.
 
-    sigma negates a and c; rho flips each member, in reverse order.  The
-    step (a, b, c) -> (c, b', c') picks b' as the largest value below
-    sqrt(D) that is -b mod 2|c|.  It depends on |c| alone, and on
-    reduced forms 2|c| > sqrt(D) - b as for |a|, so b is that value for
-    b': the step also takes rho(c, b', c') to rho(a, b, c).
+    sigma negates a and c; rho flips each member, in reverse order.  On
+    reduced forms the step of _steps, (a, b, c) -> (c, b', c'), picks b'
+    as the largest value below sqrt(D) that is -b mod 2|c|.  It depends
+    on |c| alone, and on reduced forms 2|c| > sqrt(D) - b as for |a|, so
+    b is that value for b': the step also takes rho(c, b', c') to
+    rho(a, b, c).
     """
     flipped = [(c, b, a) for a, b, c in reversed(cycle)]
     return [(-a, b, -c) for a, b, c in cycle], flipped, [(-a, b, -c) for a, b, c in flipped]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from braidforms import quadforms, sl2z
-from braidforms.braid3 import BraidWord, BurauMat
+from braidforms.braid3 import BraidWord, BurauMat, garside_power
 from braidforms.laurent import (NEG_Q, ONE, ZERO, GaussInt, HalfLaurent,
                                 NonDivisibleError)
 from braidforms.quadforms import FormClassKey, QForm
@@ -336,6 +336,38 @@ def necklace_histogram(t: int) -> list[int]:
 
     walk((), (1, 0, 0, 1), 0)
     return hist
+
+
+def normal_form_word(key: FormClassKey, t: int) -> BraidWord:
+    """One braid word of the trace-t class of key, |t| > 2, read off its cycle.
+
+    A member f = (a, b, c) with a > 0 of the reduced cycle of a class of
+    trace T > 2 has the matrix [[(T - b)/2, a], [-c, (T + b)/2]] of
+    form_of_matrix, with nonnegative entries; a nonnegative matrix of
+    determinant 1 is a unique product of R = [[1, 1], [0, 1]] and
+    L = [[1, 0], [1, 1]]: a power of R comes off the left while the first
+    row is at least the second, a power of L while the second row is.
+    R is the image of s1 and L that of s2^-1.  For t < -2 a member f with
+    a < 0 is taken: the matrix of -f at |t| is nonnegative, its word is w,
+    and phi(Delta^2) = -I takes it to the matrix of f at t, so the word is
+    Delta^2 w.
+    """
+    sign = 1 if t > 0 else -1
+    a, b, c = next(f for f in key.cycle if sign * f[0] > 0)
+    m = quadforms.matrix_of_form(QForm(sign * a, sign * b, sign * c), abs(t))
+    p, q, r, s = m.a, m.b, m.c, m.d
+    letters: list[int] = []
+    while (p, q, r, s) != (1, 0, 0, 1):
+        if p >= r and q >= s:
+            k = min(p // r, q // s) if r else q
+            letters += [1] * k
+            p, q = p - k * r, q - k * s
+        else:
+            k = min(r // p, s // q) if q else r
+            letters += [-2] * k
+            r, s = r - k * p, s - k * q
+    word = BraidWord(tuple(letters))
+    return word if t > 0 else garside_power(2) * word
 
 
 def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from braidforms import birman_menasco, quadforms, sl2z
+from braidforms.braid3 import alexander, exponent_sum, jones, phi, special_value
 from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                census_table, check_main_identity,
                                check_window_symmetry, class_count, counts_row,
@@ -12,8 +13,8 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                trace_classes)
 from braidforms.quadforms import QForm
 from braidforms.sl2z import st_product
-from oracles import (cycle_sum_residue, necklace_histogram, rademacher_residue,
-                     word_census_table)
+from oracles import (cycle_sum_residue, necklace_histogram, normal_form_word,
+                     rademacher_residue, word_census_table)
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -131,6 +132,30 @@ class TestResidueHistogram:
             hist = residue_histogram(t)
             assert necklace_histogram(t) == hist, t
             assert sum(hist) == quadforms.class_number(t), t
+
+    def test_normal_form_words_carry_their_classes(self):
+        # One positive R/L word per class, times Delta^2 for t < 0, read off
+        # its reduced cycle.  Its phi image reduces to the class key, its
+        # exponent sum is the residue, and Alexander and Jones at q = -1 are
+        # its special value.  For |t| <= 40 the words' residues are the
+        # necklaces', so no class is missing.  Every class of
+        # 3 <= |t| <= 200, and 40 of each large t, whose words run to
+        # 5,007 letters (about 3 s).
+        rng = random.Random(20)
+        cases = [(t, trace_classes(t)) for t in [s * t for t in range(3, 201) for s in (1, -1)]]
+        cases += [(t, rng.sample(trace_classes(t), 40))
+                  for t in (4999, -10000, 30030, -99999, 10**5)]
+        for t, classes in cases:
+            hist = [0] * 12
+            for cls in classes:
+                w = normal_form_word(cls.key, t)
+                assert quadforms.reduce(quadforms.form_of_matrix(phi(w))) == cls.key, (t, cls.key.rep)
+                hist[exponent_sum(w) % 12] += 1
+                assert exponent_sum(w) % 12 == cls.residue, (t, cls.key.rep)
+                sv = special_value(w)
+                assert alexander(w).at_q_minus_one() == sv == jones(w).at_q_minus_one(), (t, cls.key.rep)
+            if abs(t) <= 40:
+                assert hist == necklace_histogram(t), t
 
 
 class TestClassCount:

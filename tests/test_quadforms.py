@@ -287,7 +287,7 @@ class TestEnumerateClasses:
     def test_cycles_close_under_neighbor_step(self):
         import math
 
-        from braidforms.quadforms import _is_reduced_indefinite, _neighbor
+        from braidforms.quadforms import _is_reduced_indefinite, _steps
 
         for t in (6, 10, 23, -17):
             disc = t * t - 4
@@ -297,7 +297,7 @@ class TestEnumerateClasses:
                 assert cycle is not None and len(cycle) % 2 == 0
                 for i, member in enumerate(cycle):
                     assert _is_reduced_indefinite(member, root)
-                    assert _neighbor(member, disc, root) == cycle[(i + 1) % len(cycle)]
+                    assert next(_steps(member, disc, root)) == cycle[(i + 1) % len(cycle)]
 
 
 class TestCorrespondence:
