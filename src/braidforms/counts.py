@@ -145,8 +145,8 @@ class SymmetryReport(_value.Value):
 
 
 def check_window_symmetry(t: int, n: int) -> SymmetryReport:
-    lhs = sum(link_count(t, n + j) for j in range(12))
-    rhs = sum(link_count(-t, n + 6 + j) for j in range(12))
+    lhs = sum(row.p for row in check_main_identity(t, n).rows)
+    rhs = sum(row.p for row in check_main_identity(-t, n + 6).rows)
     return SymmetryReport(t, n, lhs, rhs, lhs == rhs)
 
 

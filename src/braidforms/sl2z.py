@@ -50,11 +50,6 @@ S = Mat2Z(1, 1, 0, 1)
 T = Mat2Z(1, 0, -1, 1)
 
 
-def gen_power(gen: str, p: int) -> Mat2Z:
-    """S**p or T**p in closed form."""
-    return st_product([(gen, p)])
-
-
 def st_product(word: STWord) -> Mat2Z:
     """Multiply out an S/T word, left to right, in four integers.
 

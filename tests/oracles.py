@@ -238,6 +238,30 @@ def divisor_sieve_reduced_forms(t: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def progression_quarters(t_max: int) -> dict[int, list[tuple[int, int, int]]]:
+    """One reduced form per mirror orbit, for every trace 3 <= T <= t_max, sorted.
+
+    The forms of divisor_sieve_reduced_forms with 0 < x <= y: (x, T - 2u,
+    -y), u <= x <= y and xy = u(T - u) - 1.  Read with x and u fixed, x
+    divides u(T - u) - 1 exactly when gcd(u, x) = 1 and T = u + u^-1 mod
+    x, and y >= x exactly when u(T - u) >= x^2 + 1.  So each pair (x, u)
+    gives one arithmetic progression of T, with no primes, square roots
+    or divisor lists.  Then u < T - u and x < T/2, so x <= t_max // 2.
+    """
+    quarters: dict[int, list[tuple[int, int, int]]] = {big: [] for big in range(3, t_max + 1)}
+    for x in range(1, t_max // 2 + 1):
+        for u in range(1, x + 1):
+            if math.gcd(u, x) != 1:
+                continue
+            low = max(3, u - (-(x * x + 1) // u))  # the least T with u(T - u) >= x^2 + 1
+            start = low + (u + pow(u, -1, x) - low) % x
+            for big in range(start, t_max + 1, x):
+                quarters[big].append((x, big - 2 * u, -((u * (big - u) - 1) // x)))
+    for forms in quarters.values():
+        forms.sort()
+    return quarters
+
+
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) for k > 0 and gcd(h, k) = 1, by the reciprocity law
 

@@ -331,6 +331,9 @@ class TestLimits:
         # sum(range(3, 2449)) = 2997573 is within the limit; adding 2449 is not.
         with pytest.raises(Reached):
             main(["verify", "--tmin", "3", "--tmax", "2448"])
+        # sum(range(7813, 8188)) is the limit itself.
+        with pytest.raises(Reached):
+            main(["verify", "--tmin", "7813", "--tmax", "8187"])
         code, _, err = run(capsys, "verify", "--tmin", "-2449", "--tmax", "-3")
         assert code == 2 and "= 3000022 exceeds the limit" in err
 
@@ -338,6 +341,11 @@ class TestLimits:
         code, out, err = run(capsys, "census", "3", "0", "--max-len", "40")
         assert code == 2 and out == ""
         assert "--max-len 40 exceeds the limit 16" in err
+
+    def test_census_length_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(counts, "braid_census", lambda t, n, max_len: 0)
+        code, out, _ = run(capsys, "census", "3", "0", "--max-len", str(MAX_CENSUS_LEN))
+        assert code == 0 and out == "t=3 n=0 max_len=16 census=0 x_count=1 gap=1\n"
 
 
 def run_in_process(argv) -> tuple[int, str, str]:
@@ -475,6 +483,14 @@ class TestLinkCountFailure:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: cell (t=3, n={n}): correction m=5 exceeds class count 1\n"
+
+    def test_correction_equal_to_the_class_count_passes(self, capsys, monkeypatch):
+        # counts 3 0 has one class: m = 1 leaves p = 0, m = 2 fails the cell.
+        monkeypatch.setattr(birman_menasco, "class_excess", lambda t, n: 1)
+        assert run(capsys, "counts", "3", "0") == (0, "t=3 n=0 x_count=1 m=1 p=0\n", "")
+        monkeypatch.setattr(birman_menasco, "class_excess", lambda t, n: 2)
+        assert run(capsys, "counts", "3", "0") == (
+            2, "", "error: cell (t=3, n=0): correction m=2 exceeds class count 1\n")
 
 
 class TestMainCalls:

@@ -7,7 +7,7 @@ import pytest
 from braidforms import braid3
 from braidforms.quadforms import enumerate_classes, is_conjugate, matrix_of_form
 from braidforms.sl2z import (IDENTITY, Mat2Z, S, T, decompose_st,
-                             exponent_mod12, gen_power, st_product)
+                             exponent_mod12, st_product)
 from oracles import (conjugacy_components, rademacher_residue, random_word,
                      sl2_ball, trace_t_matrices)
 
@@ -208,7 +208,7 @@ class TestIsConjugate:
 
 
 def test_st_product_matches_generator_products():
-    # st_product, gen_power and phi share one fold; this checks it against
+    # st_product is the one fold, phi's included; this checks it against
     # plain Mat2Z products, one generator matrix per unit of power.
     rng = random.Random(1717)
     units = {"S": (S, S.inverse()), "T": (T, T.inverse())}
@@ -225,7 +225,7 @@ def test_st_product_matches_generator_products():
 
 
 def test_gen_power_closed_forms():
-    assert gen_power("S", 5) == st_product([("S", 1)] * 5)
-    assert gen_power("T", -3) == T.inverse() * T.inverse() * T.inverse()
+    assert st_product([("S", 5)]) == S * S * S * S * S
+    assert st_product([("T", -3)]) == T.inverse() * T.inverse() * T.inverse()
     with pytest.raises(ValueError):
-        gen_power("U", 1)
+        st_product([("U", 1)])
