@@ -28,16 +28,6 @@ from .sl2z import Mat2Z, decompose_st, exponent_mod12, st_product
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BraidParseError", "BraidWord", "BurauMat", "ClassWithExponent",
-    "CountsRow", "ExceptionalWitness", "FormClassKey", "GaussInt",
-    "HalfLaurent", "LinkCountError", "MainIdentityReport", "Mat2Z",
-    "NonDivisibleError", "QForm", "SymmetryReport", "act", "alexander",
-    "braid_census", "burau", "check_main_identity", "check_window_symmetry",
-    "class_count", "class_excess", "class_number", "counts_row",
-    "decompose_st", "enumerate_classes", "equivalent", "exponent_mod12",
-    "exponent_sum", "family_iii_trace_exp", "family_iv_trace_exp",
-    "form_of_matrix", "garside_power", "is_conjugate", "jones", "link_count",
-    "matrix_of_form", "monomial_pow", "phi", "reduce", "shared_closure_count",
-    "special_value", "st_product", "trace_b3", "trace_classes", "witnesses",
-]
+# The public API is every class and function that the imports above bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

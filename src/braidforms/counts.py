@@ -135,7 +135,7 @@ def check_main_identity(t: int, n: int) -> MainIdentityReport:
 
 
 class SymmetryReport(_value.Value):
-    """Window sums of p at (t, n) and at (-t, n+6), which agree for low n."""
+    """Window sums of p at (t, n) and at (-t, n+6); ok when p agrees cell by cell."""
 
     __slots__ = ("t", "n", "lhs", "rhs", "ok")
 
@@ -145,9 +145,10 @@ class SymmetryReport(_value.Value):
 
 
 def check_window_symmetry(t: int, n: int) -> SymmetryReport:
-    lhs = sum(row.p for row in check_main_identity(t, n).rows)
-    rhs = sum(row.p for row in check_main_identity(-t, n + 6).rows)
-    return SymmetryReport(t, n, lhs, rhs, lhs == rhs)
+    """Compare p(t, n + j) with p(-t, n + 6 + j), j < 12: Delta^2 maps to -I."""
+    lhs = [row.p for row in check_main_identity(t, n).rows]
+    rhs = [row.p for row in check_main_identity(-t, n + 6).rows]
+    return SymmetryReport(t, n, sum(lhs), sum(rhs), lhs == rhs)
 
 
 # --- braid census ------------------------------------------------------

@@ -218,7 +218,7 @@ def _sqrt_mod(n: int, p: int) -> int | None:
 
 
 def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
-    """One reduced form per mirror orbit, of discriminant D = t^2 - 4, |t| >= 3.
+    """Every reduced (x, b, -y) with u <= x <= y, of D = t^2 - 4, |t| >= 3.
 
     With T = |t|, isqrt(D) = T - 1 and b = T - 2u, the reduction
     conditions 0 < b < sqrt(D), ac = (b^2 - D)/4 and sqrt(D) - b < 2|a|

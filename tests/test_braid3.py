@@ -67,6 +67,8 @@ class TestParse:
             w = BraidWord(random_word(rng, 12))
             assert BraidWord.parse(w.render()) == w
         assert BraidWord((1, 1, 1, 2)).render() == "1^3 2"
+        assert str(BraidWord((1, 1, 1, 2))) == "1^3 2"
+        assert list(BraidWord((1, -2, 1))) == [1, -2, 1]
 
     def test_syllables_merge_neighbours(self):
         assert parse_syllables("1 1^2 2^0 1 -2^-3 2") == [(1, 4), (2, 4)]

@@ -466,6 +466,28 @@ class TestVerifyFailure:
         assert all(line.endswith(",1,0,false") for line in lines[1:])
 
 
+class TestIdentityFailure:
+    # One class listed twice counts twice in h but once in the residue
+    # tally, so the identity itself fails: h = 3 against a window of 2.
+    @pytest.fixture(autouse=True)
+    def repeated_class(self, monkeypatch):
+        enumerate_classes = quadforms.enumerate_classes
+        monkeypatch.setattr(quadforms, "enumerate_classes",
+                            lambda t: enumerate_classes(t)[:1] + enumerate_classes(t))
+
+    def test_report(self):
+        report = counts.check_main_identity(5, -26)
+        assert (report.h, report.window_total, report.ok) == (3, 2, False)
+        assert [row.m for row in report.rows] == [0] * 12
+
+    def test_verify_exits_1(self, capsys):
+        code, out, _ = run(capsys, "verify", "--tmin", "5", "--tmax", "5")
+        assert code == 1
+        assert out.splitlines() == ["t=5 n=-26 h=3 window=2 FAIL", "FAILURES PRESENT"]
+        code, out, _ = run(capsys, "verify", "--tmin", "5", "--tmax", "5", "--format", "json")
+        assert code == 1 and json.loads(out)["pass"] is False
+
+
 class TestLinkCountFailure:
     # With more corrections than classes p goes negative: verify's one real
     # failure, which every format reports as exit 2 with one stderr line.

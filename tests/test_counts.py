@@ -250,6 +250,12 @@ class TestWindowSymmetry:
         assert check_window_symmetry(3, -30).to_json() == {
             "t": 3, "n": -30, "lhs": 1, "rhs": 1, "pass": True}
 
+    def test_equal_sums_with_unequal_cells(self):
+        # Both windows sum to 13, but p is 4, 4, 2, 3 at n = -6, -3, 0, 3 for
+        # t = -30 and 4, 3, 2, 4 six further on for t = 30.
+        report = check_window_symmetry(-30, -8)
+        assert (report.lhs, report.rhs, report.ok) == (13, 13, False)
+
     def test_class_number_symmetry_underneath(self):
         for t in (3, 7, 19):
             assert quadforms.class_number(t) == quadforms.class_number(-t)

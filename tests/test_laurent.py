@@ -115,6 +115,7 @@ class TestEvalQMinusOne:
 class TestRender:
     def test_contract_string(self):
         assert hl({-2: -1, 0: 2, 3: 1}).render() == "-1*q^-1 + 2 + 1*q^3/2"
+        assert str(hl({-2: -1, 0: 2, 3: 1})) == "-1*q^-1 + 2 + 1*q^3/2"
 
     def test_zero(self):
         assert ZERO.render() == "0"
@@ -138,6 +139,7 @@ class TestCanonicalForm:
     def test_int_equality(self):
         assert ONE == 1
         assert ZERO == 0
+        assert not ONE == "1"  # neither side knows the other: identity decides
 
     def test_constant_hashes_as_its_int(self):
         for n in (5, 1, 0, -3):
@@ -178,6 +180,7 @@ def test_i_power_cycle():
     assert str(GaussInt(3, -2)) == "3-2i"
     assert str(GaussInt(0, 2)) == "2i"
     assert str(GaussInt(-4, 0)) == "-4"
+    assert -GaussInt(3, -2) == GaussInt(-3, 2)
 
 
 # --- agreement with the sparse oracle ----------------------------------------

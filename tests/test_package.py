@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import types
 from pathlib import Path
 
 import braidforms
@@ -37,3 +38,51 @@ def test_no_import_cycles():
     graph = {name: module_imports(path, set(paths)) for name, path in paths.items()}
     assert graph["__init__"] and graph["quadforms"]
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def cached_functions() -> set[str]:
+    """module.function for each function in the package under cache or lru_cache."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    if isinstance(decorator, ast.Call):  # lru_cache(maxsize=...)
+                        decorator = decorator.func
+                    name = getattr(decorator, "attr", getattr(decorator, "id", None))
+                    if name in ("cache", "lru_cache"):
+                        found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_new_module_global_caches():
+    # A process-wide cache is shared by every caller and grows with each
+    # argument, so each one kept here has its reason.
+    assert cached_functions() == {
+        # benchmarks/tracer.py reads the cache_info() of these two tables,
+        # so they stay until the benchmark is re-pinned.
+        "quadforms.enumerate_classes",
+        "counts.trace_classes",
+        # Built once for callers that run main in process.
+        "cli.build_parser",
+    }
+
+
+def init_imports() -> list[str]:
+    """The names that the import statements of __init__ bind."""
+    names = []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return names
+
+
+def test_all_is_the_import_block():
+    names = init_imports()
+    assert len(names) == 47
+    assert braidforms.__all__ == sorted(names)
+    assert not [name for name in names if name.startswith("_")
+                or isinstance(getattr(braidforms, name), types.ModuleType)]
+    namespace = {}
+    exec("from braidforms import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(names)

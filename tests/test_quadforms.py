@@ -45,6 +45,9 @@ class TestDiscriminant:
         assert QForm(1, 1, -1).discriminant() == 5
         assert QForm(2, 3, 1).discriminant() == 1  # total even off-pipeline
 
+    def test_str(self):
+        assert str(QForm(1, -3, -1)) == "(1, -3, -1)"
+
 
 class TestAct:
     def test_identity(self):
