@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from itertools import count
 
-from . import _value, braid3
+from . import _value, braid3, quadforms
 from .braid3 import BraidWord
 
 
@@ -93,8 +93,7 @@ def _family_solutions(t: int, n: int) -> list[tuple[str, tuple[int, int, int, in
     rest falls, as s >= 3 grows with v in iii and u(e1 - u) grows for
     u <= (e1 - 3) / 3 < e1 / 2 in iv.  So a cell takes O(sqrt|t|) steps.
     """
-    if t in (2, -2):
-        raise ValueError("t = +-2 is excluded")
+    quadforms._check_trace(t)
     sols = []
     for k in (0, 1):
         target = (t if k == 0 else -t) - 2  # (u+w)(1+v) + uvw

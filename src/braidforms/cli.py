@@ -118,9 +118,10 @@ def _cmd_counts(args: argparse.Namespace) -> Record:
 
 
 def _cmd_m(args: argparse.Namespace) -> Record:
-    m_prime = birman_menasco.shared_closure_count(args.t, args.n)
-    m = birman_menasco.class_excess(args.t, args.n)
+    # One solve of the cell: m counts every witness, m_prime the family ones.
     wits = birman_menasco.witnesses(args.t, args.n)
+    m_prime = sum(w.family in ("family-iii", "family-iv") for w in wits)
+    m = len(wits)
     lines = [f"  {w.family} params={list(w.params)} words: "
              + " | ".join(word.render() for word in w.words) for w in wits]
     return _cell({"t": args.t, "n": args.n, "m_prime": m_prime, "m": m}, *lines,

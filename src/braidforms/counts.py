@@ -78,8 +78,6 @@ def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, in
 @lru_cache(maxsize=4)
 def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
     """All trace-t classes, one per form class, tagged with residues (_residues)."""
-    if t in (2, -2):
-        raise ValueError("t = +-2 is excluded")
     keys, residues = _residues(t)
     return tuple(ClassWithExponent(key, t, residues[key.rep]) for key in keys)
 
@@ -212,7 +210,6 @@ def braid_census(t: int, n: int, max_len: int) -> int:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if t in (2, -2):
-        raise ValueError("t = +-2 is excluded")
+    quadforms._check_trace(t)
     table = census_table(max_len, range(t, t + 1), range(n, n + 1))
     return table.get((t, n), 0)

@@ -79,6 +79,12 @@ def act(m: Mat2Z, f: QForm) -> QForm:
                  a * be * be + b * be * de + c * de * de)
 
 
+def _check_trace(t: int) -> None:
+    """Refuse t = +-2, where the discriminant t^2 - 4 is zero."""
+    if t in (2, -2):
+        raise ValueError("t = +-2 is excluded")
+
+
 def _check_discriminant(disc: int) -> int:
     if disc == 0:
         raise ValueError("zero discriminant is not supported")
@@ -182,11 +188,8 @@ def is_conjugate(m: Mat2Z, n: Mat2Z) -> bool:
     classes correspondence: conjugate matrices yield equivalent forms
     and vice versa.
     """
-    if m.trace() in (2, -2) or n.trace() in (2, -2):
-        raise ValueError("trace +-2 (parabolic/central) is not supported")
-    if m.trace() != n.trace():
-        return False
-    return equivalent(form_of_matrix(m), form_of_matrix(n))
+    f, g = form_of_matrix(m), form_of_matrix(n)
+    return m.trace() == n.trace() and equivalent(f, g)
 
 
 def _sqrt_mod(n: int, p: int) -> int | None:
@@ -299,8 +302,7 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     whose first member is not yet seen is a new class, rotated to start
     at its least member; the classes are sorted by that representative.
     """
-    if t in (2, -2):
-        raise ValueError("t = +-2 is excluded (discriminant 0)")
+    _check_trace(t)
     disc = t * t - 4
     root = _check_discriminant(disc)
     if disc < 0:
@@ -329,8 +331,7 @@ def form_of_matrix(m: Mat2Z) -> QForm:
     Constant on conjugacy classes up to equivalence, with discriminant
     trace^2 - 4; defined for trace != +-2.
     """
-    if m.trace() in (2, -2):
-        raise ValueError("trace +-2 is excluded")
+    _check_trace(m.trace())
     return QForm(m.b, m.d - m.a, -m.c)
 
 
@@ -342,8 +343,7 @@ def matrix_of_form(f: QForm, t: int) -> Mat2Z:
     the discriminant, the determinant is 1, and the round trip
     form_of_matrix(matrix_of_form(f, t)) == f is exact.
     """
-    if t in (2, -2):
-        raise ValueError("t = +-2 is excluded")
+    _check_trace(t)
     if f.discriminant() != t * t - 4:
         raise ValueError(f"discriminant {f.discriminant()} does not match t^2 - 4 = {t * t - 4}")
     return Mat2Z((t - f.b) // 2, f.a, -f.c, (t + f.b) // 2)

@@ -4,13 +4,14 @@ from collections import defaultdict
 
 import pytest
 
-from braidforms import braid3, quadforms
+from braidforms import braid3, counts, quadforms
 from braidforms.birman_menasco import (_family_solutions, class_excess,
                                        family_iii_trace_exp, family_iii_word,
                                        family_iv_trace_exp, family_iv_word,
                                        shared_closure_count, witnesses)
 from braidforms.braid3 import BraidWord
 from braidforms.counts import default_sweep_exponent
+from braidforms.sl2z import S, Mat2Z
 from oracles import filtered_family_solutions
 
 
@@ -176,11 +177,33 @@ class TestFamilySolutions:
 
 
 class TestExcludedTrace:
-    @pytest.mark.parametrize("function", [shared_closure_count, class_excess, witnesses])
+    # Every library entry point that refuses t = +-2 raises this one
+    # error, from quadforms._check_trace.
+    MESSAGE = ("t = +-2 is excluded",)
+
+    def assert_refused(self, call, *args):
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert type(info.value) is ValueError and info.value.args == self.MESSAGE
+
+    @pytest.mark.parametrize("function", [
+        quadforms.enumerate_classes, quadforms.class_number, quadforms.matrix_of_form,
+        counts.trace_classes, counts.class_count, counts.counts_row, counts.link_count,
+        counts.check_main_identity, counts.check_window_symmetry, counts.braid_census,
+        shared_closure_count, class_excess, witnesses])
     @pytest.mark.parametrize("t", [2, -2])
     def test_rejects_t_plus_minus_2(self, function, t):
-        with pytest.raises(ValueError, match="excluded"):
-            function(t, 0)
+        args = {quadforms.enumerate_classes: (t,), quadforms.class_number: (t,),
+                quadforms.matrix_of_form: (quadforms.QForm(1, 1, -1), t),
+                counts.trace_classes: (t,), counts.braid_census: (t, 0, 3)}
+        self.assert_refused(function, *args.get(function, (t, 0)))
+
+    @pytest.mark.parametrize("m", [S, Mat2Z(-1, -1, 0, -1)], ids=["S", "-S"])
+    def test_rejects_matrices_of_trace_plus_minus_2(self, m):
+        partner = Mat2Z(2, 1, 1, 1)  # trace 3, so a trace mismatch cannot answer first
+        self.assert_refused(quadforms.form_of_matrix, m)
+        self.assert_refused(quadforms.is_conjugate, m, partner)
+        self.assert_refused(quadforms.is_conjugate, partner, m)
 
 
 class TestClassExcess:

@@ -190,6 +190,15 @@ class TestM:
         assert code == 2 and out == ""
         assert "excluded" in err
 
+    def test_cell_is_solved_once(self, capsys, monkeypatch):
+        calls = []
+        solve = birman_menasco._family_solutions
+        monkeypatch.setattr(birman_menasco, "_family_solutions",
+                            lambda t, n: calls.append((t, n)) or solve(t, n))
+        code, out, _ = run(capsys, "m", "20", "1")
+        assert code == 0 and out.startswith("t=20 n=1 m_prime=1 m=1\n")
+        assert calls == [(20, 1)]
+
 
 class TestCensus:
     def test_small_cell(self, capsys):

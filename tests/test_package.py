@@ -68,6 +68,19 @@ def test_no_new_module_global_caches():
     }
 
 
+def test_one_refusal_of_the_excluded_trace():
+    # Library code refuses t = +-2 only through quadforms._check_trace; the
+    # CLI's verify words its own error for a range with no t left to check.
+    phrase, refusals = "+-2 is excluded", []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "cli.py" and phrase in (source := path.read_text()):
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Raise):
+                    refusals += [(path.stem, text.value) for text in ast.walk(node)
+                                 if isinstance(text, ast.Constant) and phrase in str(text.value)]
+    assert refusals == [("quadforms", "t = +-2 is excluded")]
+
+
 def init_imports() -> list[str]:
     """The names that the import statements of __init__ bind."""
     names = []

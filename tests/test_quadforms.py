@@ -290,7 +290,7 @@ class TestEnumerateClasses:
                     private.append(f"{ast.unparse(node)} (line {node.lineno})")
         assert not private
 
-    def test_cycles_close_under_neighbor_step(self):
+    def test_cycles_close_under_steps(self):
         import math
 
         from braidforms.quadforms import _is_reduced_indefinite, _steps

@@ -224,7 +224,7 @@ def test_st_product_matches_generator_products():
             st_product(word + [("U", 1), ("S", 1)])
 
 
-def test_gen_power_closed_forms():
+def test_st_product_of_one_power():
     assert st_product([("S", 5)]) == S * S * S * S * S
     assert st_product([("T", -3)]) == T.inverse() * T.inverse() * T.inverse()
     with pytest.raises(ValueError):
