@@ -64,14 +64,13 @@ def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, in
     rho-image JM^TJ reverses words, S, T to T^-1, S^-1: r; sigma-rho: -r.
     """
     keys = quadforms.enumerate_classes(t)
-    rep_of = {form: key.rep for key in keys for form in key.cycle or ()}
     residues: dict[tuple[int, int, int], int] = {}
     for key in keys:
         if key.rep not in residues:
             r = residues[key.rep] = sl2z.exponent_mod12(quadforms.matrix_of_form(key.rep_form(), t))
             if key.cycle:  # not one of the two definite classes of |t| <= 1
-                for (image,), residue in zip(quadforms._mirrors((key.rep,)), (-r % 12, r, -r % 12)):
-                    residues.setdefault(rep_of[image], residue)
+                for image, residue in zip(quadforms._mirrors(key.cycle), (-r % 12, r, -r % 12)):
+                    residues.setdefault(min(image), residue)  # its rep, listed or not
     return keys, residues
 
 

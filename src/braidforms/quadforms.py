@@ -142,13 +142,14 @@ def _steps(f: tuple[int, int, int], disc: int, root: int) -> Iterator[tuple[int,
 def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> list[tuple[int, int, int]]:
     """The reduced cycle of f, from the first reduced form _steps reaches."""
     steps = _steps(f, disc, root)
-    g = f
-    for _ in range(100000):
+    g, limit = f, 100000
+    for _ in range(limit):
         if _is_reduced_indefinite(g, root):
             break
         g = next(steps)
-    else:
-        raise RuntimeError(f"reduction did not terminate on {f}")
+    else:  # sizes, not values: int -> str refuses more than 4300 digits
+        raise RuntimeError(f"reduction did not terminate in {limit} steps on a form of "
+                           f"coefficient bit lengths {tuple(x.bit_length() for x in f)}")
     cycle = [g]
     for h in steps:
         if h == g:

@@ -145,6 +145,19 @@ def trial_division_reduced_forms(disc: int, root: int) -> list[tuple[int, int, i
     return sorted(set(out))
 
 
+def reduced_cycle_step(f: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
+    """The form after the reduced indefinite form f in its cycle: f(-y, x + s*y).
+
+    For f = (a, b, c) that is (c, 2cs - b, a - bs + cs^2), a substitution
+    of determinant 1, with s chosen so that 2cs - b is the largest integer
+    below sqrt(disc) that is -b mod 2|c|.  The last coefficient comes from
+    the substitution, not from the library's division (b'^2 - disc) / 4c.
+    """
+    a, b, c = f
+    s = (math.isqrt(disc) + b) // (2 * abs(c)) * (1 if c > 0 else -1)
+    return c, 2 * c * s - b, a - b * s + c * s * s
+
+
 def primes_upto(n: int) -> list[int]:
     """The primes p <= n, n >= 1, by the sieve of Eratosthenes."""
     sieve = bytearray([1]) * (n + 1)

@@ -247,6 +247,15 @@ class TestVerify:
         assert code == 0 and payload["pass"] is True
         assert [r["n"] for r in payload["results"]] == [0, 0]
 
+    def test_lost_mirror_class_fails_without_traceback(self, capsys, monkeypatch):
+        # (-9, 6, 10) lies in t = 20's orbit of four classes and is not its least.
+        listed = quadforms.enumerate_classes
+        monkeypatch.setattr(quadforms, "enumerate_classes",
+                            lambda t: tuple(key for key in listed(t) if key.rep != (-9, 6, 10)))
+        code, out, err = run(capsys, "verify", "--tmin", "20", "--tmax", "20")
+        assert (code, err) == (1, "")
+        assert out == "t=20 n=-41 h=9 window=10 FAIL\nFAILURES PRESENT\n"
+
 
 class TestLimits:
     @pytest.fixture

@@ -242,6 +242,21 @@ class TestMainIdentity:
         assert j["h_lhs"] == 1 and j["window_rhs"] == 1 and j["pass"] is True
         assert len(j["rows"]) == 12
 
+    def test_lost_mirror_class_fails(self, monkeypatch):
+        # t = 20 has one orbit of four classes.  A class list that lost one
+        # of them, not the orbit's least, still gives the lost class a
+        # residue from its orbit, so the window counts one class over h.
+        t = 20
+        orbit = max((sorted({key.rep, *(image[0] for image in mirror_images(key.cycle))})
+                     for key in quadforms.enumerate_classes(t)), key=len)
+        assert len(orbit) == 4
+        lost, listed = orbit[1], quadforms.enumerate_classes
+        monkeypatch.setattr(quadforms, "enumerate_classes",
+                            lambda s: tuple(key for key in listed(s) if key.rep != lost))
+        report = check_main_identity(t, default_sweep_exponent(t))
+        assert not report.ok
+        assert (report.h, report.window_total) == (9, 10)
+
 
 class TestWindowSymmetry:
     def test_examples(self):

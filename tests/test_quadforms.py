@@ -15,13 +15,21 @@ from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
 import oracles
 from oracles import (conjugacy_components, divisor_sieve_reduced_forms,
                      evaluate, forms_with_bounded_coeffs, primes_upto,
-                     progression_quarters, sl2_ball, sqrt_mod_prime,
-                     substitute, trace_t_matrices, trial_division_reduced_forms)
+                     progression_quarters, reduced_cycle_step, sl2_ball,
+                     sqrt_mod_prime, substitute, trace_t_matrices,
+                     trial_division_reduced_forms)
 
 
 def quarter(forms):
     """The forms with 0 < a <= -c, sorted: one per mirror orbit."""
     return sorted(f for f in forms if 0 < f[0] <= -f[2])
+
+
+@pytest.fixture(scope="module")
+def sieve_quarters():
+    """The divisor sieve's quarter at large traces, for the root table and the certificate."""
+    return {big: quarter(divisor_sieve_reduced_forms(big))
+            for big in (4096, 4999, 10**4, 30030, 99999, 10**5)}
 
 
 def random_matrix(rng, syllables=5, max_power=4):
@@ -149,6 +157,21 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(QForm(0, 3, 0))  # disc 9
 
+    def test_step_guard_names_sizes_not_values(self, monkeypatch):
+        # A step that never reaches a reduced form trips the step limit.
+        # Its message must not format coefficients: int -> str refuses
+        # more than 4,300 digits, which would raise ValueError instead.
+        def stuck(f, disc, root):
+            while True:
+                yield f
+
+        monkeypatch.setattr("braidforms.quadforms._steps", stuck)
+        for f, bits in ((QForm(10**5000, 1, -1), "(16610, 1, 1)"), (QForm(1, 0, -3), "(1, 0, 2)")):
+            with pytest.raises(RuntimeError) as raised:
+                reduce(f)
+            assert str(raised.value) == ("reduction did not terminate in 100000 steps on a form "
+                                         f"of coefficient bit lengths {bits}")
+
 
 class TestEquivalent:
     def test_reflexive(self):
@@ -246,13 +269,31 @@ class TestEnumerateClasses:
                 assert (2 * abs(a) + b) ** 2 > disc
                 assert 2 * abs(a) < b or (2 * abs(a) - b) ** 2 < disc
 
-    def test_root_table_matches_divisor_sieve_oracle(self):
+    def test_root_table_matches_divisor_sieve_oracle(self, sieve_quarters):
         # The dense range from one pass over progressions, the large
         # traces from the divisor sieve.
         dense = progression_quarters(2000)
-        for t in [*range(3, 2001), 4096, 4999, 30030, 99999, 10**5]:
-            expected = dense[t] if t in dense else quarter(divisor_sieve_reduced_forms(t))
+        for t in [*range(3, 2001), *sieve_quarters]:
+            expected = dense[t] if t in dense else sieve_quarters[t]
             assert sorted(_reduced_indefinite_forms(t)) == expected, t
+
+    def test_completeness_certificate(self, sieve_quarters):
+        # Each class has exactly one reduced cycle.  So the class list is
+        # complete and free of duplicates when its cycles are pairwise
+        # disjoint, each closes under the oracle's step, and together they
+        # hold every reduced form: the sigma and rho images of the quarter.
+        for t in (4999, -10**4, 30030, -99999, 10**5):
+            disc = t * t - 4
+            members, total = set(), 0
+            for key in enumerate_classes(t):
+                cycle = key.cycle
+                assert key.rep == cycle[0] == min(cycle), key.rep
+                assert [reduced_cycle_step(f, disc) for f in cycle] == [*cycle[1:], cycle[0]], key.rep
+                members.update(cycle)
+                total += len(cycle)
+            assert len(members) == total, t
+            assert members == {g for a, b, c in sieve_quarters[abs(t)]
+                               for g in ((a, b, c), (-a, b, -c), (c, b, a), (-c, b, -a))}, t
 
     def test_sqrt_mod(self):
         # The library's root and the divisor-sieve oracle's own: every n
