@@ -25,6 +25,11 @@ def quarter(forms):
     return sorted(f for f in forms if 0 < f[0] <= -f[2])
 
 
+def mirror_closure(forms):
+    """The forms with their sigma, rho and sigma-rho images: from a quarter, every reduced form."""
+    return {g for a, b, c in forms for g in ((a, b, c), (-a, b, -c), (c, b, a), (-c, b, -a))}
+
+
 @pytest.fixture(scope="module")
 def sieve_quarters():
     """The divisor sieve's quarter at large traces, for the root table and the certificate."""
@@ -258,9 +263,7 @@ class TestEnumerateClasses:
                 forms = sorted(_reduced_indefinite_forms(signed))
                 assert forms == quarter(expected), signed
             # The sigma and rho images of the quarter are every reduced form.
-            images = {g for a, b, c in forms
-                      for g in ((a, b, c), (-a, b, -c), (c, b, a), (-c, b, -a))}
-            assert sorted(images) == expected, t
+            assert sorted(mirror_closure(forms)) == expected, t
             for a, b, c in forms:
                 assert b * b - 4 * a * c == disc
                 # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b,
@@ -292,8 +295,7 @@ class TestEnumerateClasses:
                 members.update(cycle)
                 total += len(cycle)
             assert len(members) == total, t
-            assert members == {g for a, b, c in sieve_quarters[abs(t)]
-                               for g in ((a, b, c), (-a, b, -c), (c, b, a), (-c, b, -a))}, t
+            assert members == mirror_closure(sieve_quarters[abs(t)]), t
 
     def test_sqrt_mod(self):
         # The library's root and the divisor-sieve oracle's own: every n
