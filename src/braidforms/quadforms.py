@@ -116,33 +116,30 @@ def _is_reduced_indefinite(f: tuple[int, int, int], root: int) -> bool:
     return root - b + 1 <= 2 * abs(a) <= root + b
 
 
-def _steps(f: tuple[int, int, int], disc: int, root: int) -> Iterator[tuple[int, int, int]]:
-    """The forms after f under the step (a,b,c) -> (c,b',c'), b' = -b mod 2|c|.
+def _steps(f: tuple[int, int, int], root: int) -> Iterator[tuple[int, int, int]]:
+    """The forms after f under the step f -> f(-y, x + s*y) = (c, 2cs - b, a - bs + cs^2).
 
-    For |c| > root the new middle coefficient is the absolutely least
-    value in its residue class; otherwise it is the largest value below
-    sqrt(disc).  Iterating from any form of positive non-square
-    discriminant reaches a reduced form, whose cycle the step walks.
+    s = sign(c) * floor((b + o) / 2|c|), with o = |c| if |c| > root and
+    o = root otherwise, makes b' = 2cs - b the absolutely least value
+    in (-|c|, |c|], or the largest value below sqrt(D), that is -b mod
+    2|c|.  Iterating from any form of positive non-square discriminant
+    reaches a reduced form, whose cycle the step walks.
     """
-    _, b, c = f
+    a, b, c = f
     while True:
-        m = 2 * abs(c)
-        if abs(c) > root:
-            b = -b % m
-            if 2 * b > m:
-                b -= m
+        if c > 0:
+            s = (b + (c if c > root else root)) // (2 * c)
         else:
-            b = m * ((root + b) // m) - b
-        num = b * b - disc
-        assert num % (4 * c) == 0
-        a, c = c, num // (4 * c)
+            s = -((b + (-c if -c > root else root)) // (-2 * c))
+        a, b, c = c, 2 * c * s - b, a - (b - c * s) * s
         yield a, b, c
 
 
-def _indefinite_cycle(f: tuple[int, int, int], disc: int, root: int) -> list[tuple[int, int, int]]:
+def _indefinite_cycle(f: tuple[int, int, int], root: int) -> list[tuple[int, int, int]]:
     """The reduced cycle of f, from the first reduced form _steps reaches."""
-    steps = _steps(f, disc, root)
-    g, limit = f, 100000
+    steps = _steps(f, root)
+    # While |c| > sqrt(D), |b'| <= |c| and D < c^2 give |c'| <= |c|/4; then a few steps reduce.
+    g, limit = f, max(map(abs, f)).bit_length() + 4
     for _ in range(limit):
         if _is_reduced_indefinite(g, root):
             break
@@ -169,7 +166,7 @@ def reduce(f: QForm) -> FormClassKey:
     root = _check_discriminant(disc)
     if disc < 0:
         return FormClassKey(disc, _reduce_definite(f.a, f.b, f.c))
-    cycle = _rotated(_indefinite_cycle(f.triple(), disc, root))
+    cycle = _rotated(_indefinite_cycle(f.triple(), root))
     return FormClassKey(disc, cycle[0], cycle)
 
 
@@ -278,11 +275,12 @@ def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, i
     """The sigma, rho and sigma-rho images of a reduced cycle, unrotated.
 
     sigma negates a and c; rho flips each member, in reverse order.  On
-    reduced forms the step of _steps, (a, b, c) -> (c, b', c'), picks b'
-    as the largest value below sqrt(D) that is -b mod 2|c|.  It depends
-    on |c| alone, and on reduced forms 2|c| > sqrt(D) - b as for |a|, so
-    b is that value for b': the step also takes rho(c, b', c') to
-    rho(a, b, c).
+    reduced forms |c| < sqrt(D), so the step of _steps, (a, b, c) ->
+    (c, 2cs - b, c'), takes s = sign(c) * floor((b + isqrt(D)) / 2|c|):
+    b' = 2cs - b is the largest value below sqrt(D) that is -b mod 2|c|.
+    It depends on |c| alone, and on reduced forms 2|c| > sqrt(D) - b as
+    for |a|, so b is that value for b': the step also takes rho(c, b', c')
+    to rho(a, b, c).
     """
     flipped = [(c, b, a) for a, b, c in reversed(cycle)]
     return [(-a, b, -c) for a, b, c in cycle], flipped, [(-a, b, -c) for a, b, c in flipped]
@@ -313,7 +311,7 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     for f in _reduced_indefinite_forms(t):
         if f in seen:
             continue
-        for cycle in (walked := _indefinite_cycle(f, disc, root), *_mirrors(walked)):
+        for cycle in (walked := _indefinite_cycle(f, root), *_mirrors(walked)):
             if cycle[0] not in seen:
                 cycle = _rotated(cycle)
                 cycles[cycle[0]] = cycle

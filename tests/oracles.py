@@ -146,16 +146,18 @@ def trial_division_reduced_forms(disc: int, root: int) -> list[tuple[int, int, i
 
 
 def reduced_cycle_step(f: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
-    """The form after the reduced indefinite form f in its cycle: f(-y, x + s*y).
+    """The form after the reduced indefinite form f in its cycle: (c, b', c').
 
-    For f = (a, b, c) that is (c, 2cs - b, a - bs + cs^2), a substitution
-    of determinant 1, with s chosen so that 2cs - b is the largest integer
-    below sqrt(disc) that is -b mod 2|c|.  The last coefficient comes from
-    the substitution, not from the library's division (b'^2 - disc) / 4c.
+    b' is the largest integer below sqrt(disc) that is -b mod 2|c|, and
+    the last coefficient is the exact division c' = (b'^2 - disc) / 4c,
+    not the library's substitution f(-y, x + s*y).
     """
-    a, b, c = f
-    s = (math.isqrt(disc) + b) // (2 * abs(c)) * (1 if c > 0 else -1)
-    return c, 2 * c * s - b, a - b * s + c * s * s
+    _, b, c = f
+    m = 2 * abs(c)
+    b = (math.isqrt(disc) + b) // m * m - b
+    num = b * b - disc
+    assert num % (4 * c) == 0, (f, disc)
+    return c, b, num // (4 * c)
 
 
 def primes_upto(n: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Tests for form reduction, class enumeration, and the matrix correspondence."""
 
 import ast
+import itertools
 import math
 import random
 from pathlib import Path
@@ -166,16 +167,46 @@ class TestReduce:
         # A step that never reaches a reduced form trips the step limit.
         # Its message must not format coefficients: int -> str refuses
         # more than 4,300 digits, which would raise ValueError instead.
-        def stuck(f, disc, root):
+        def stuck(f, root):
             while True:
                 yield f
 
         monkeypatch.setattr("braidforms.quadforms._steps", stuck)
-        for f, bits in ((QForm(10**5000, 1, -1), "(16610, 1, 1)"), (QForm(1, 0, -3), "(1, 0, 2)")):
+        # The limit is the largest coefficient's bit length plus 4.
+        for f, limit, bits in ((QForm(10**5000, 1, -1), 16614, "(16610, 1, 1)"),
+                               (QForm(1, 0, -3), 6, "(1, 0, 2)")):
             with pytest.raises(RuntimeError) as raised:
                 reduce(f)
-            assert str(raised.value) == ("reduction did not terminate in 100000 steps on a form "
+            assert str(raised.value) == (f"reduction did not terminate in {limit} steps on a form "
                                          f"of coefficient bit lengths {bits}")
+
+
+    def test_large_form_reduces_to_its_key(self):
+        # A step that divides the big coefficients makes this cubic: 5.8 s
+        # against about 0.1 s for the translation step, on 2 CPUs.
+        f = act(st_product([("S", 1), ("T", -1)] * 8000), QForm(1, 3, -1))
+        assert max(map(abs, f.triple())).bit_length() == 22217
+        assert reduce(f).rep == (-1, 3, 1)
+        assert equivalent(f, QForm(1, 3, -1))
+
+    def test_steps_to_a_reduced_form_fit_the_guard(self):
+        # The guard allows the largest coefficient's bit length plus 4
+        # steps; reduction needs at most half of that, plus 2.
+        from braidforms.quadforms import _is_reduced_indefinite, _steps
+
+        forms = [act(st_product([("S", 1), ("T", -1)] * k), QForm(1, 3, -1)).triple()
+                 for k in (1, 10, 100, 1000, 3000)]
+        rng = random.Random(27)
+        while len(forms) < 1000:
+            size = 10 ** rng.randrange(1, 201)
+            f = tuple(rng.randint(-size, size) for _ in range(3))
+            disc = f[1] * f[1] - 4 * f[0] * f[2]
+            if disc > 0 and math.isqrt(disc) ** 2 != disc:
+                forms.append(f)
+        for f in forms:
+            root = math.isqrt(f[1] * f[1] - 4 * f[0] * f[2])
+            walk = itertools.islice(_steps(f, root), max(map(abs, f)).bit_length() // 2 + 2)
+            assert any(_is_reduced_indefinite(g, root) for g in itertools.chain([f], walk)), f
 
 
 class TestEquivalent:
@@ -339,14 +370,13 @@ class TestEnumerateClasses:
         from braidforms.quadforms import _is_reduced_indefinite, _steps
 
         for t in (6, 10, 23, -17):
-            disc = t * t - 4
-            root = math.isqrt(disc)
+            root = math.isqrt(t * t - 4)
             for key in enumerate_classes(t):
                 cycle = key.cycle
                 assert cycle is not None and len(cycle) % 2 == 0
                 for i, member in enumerate(cycle):
                     assert _is_reduced_indefinite(member, root)
-                    assert next(_steps(member, disc, root)) == cycle[(i + 1) % len(cycle)]
+                    assert next(_steps(member, root)) == cycle[(i + 1) % len(cycle)]
 
 
 class TestCorrespondence:
