@@ -180,7 +180,6 @@ class TestReduce:
             assert str(raised.value) == (f"reduction did not terminate in {limit} steps on a form "
                                          f"of coefficient bit lengths {bits}")
 
-
     def test_large_form_reduces_to_its_key(self):
         # A step that divides the big coefficients makes this cubic: 5.8 s
         # against about 0.1 s for the translation step, on 2 CPUs.
@@ -191,7 +190,7 @@ class TestReduce:
 
     def test_steps_to_a_reduced_form_fit_the_guard(self):
         # The guard allows the largest coefficient's bit length plus 4
-        # steps; reduction needs at most half of that, plus 2.
+        # steps; reduction must need at most half that bit length plus 2.
         from braidforms.quadforms import _is_reduced_indefinite, _steps
 
         forms = [act(st_product([("S", 1), ("T", -1)] * k), QForm(1, 3, -1)).triple()
