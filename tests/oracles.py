@@ -1,6 +1,6 @@
-"""Brute-force oracles shared by the test modules.
+"""Brute-force oracles, and the one copy of each helper the test modules share.
 
-Everything here is deliberately dumb: bounded exhaustive searches,
+Every oracle here is deliberately dumb: bounded exhaustive searches,
 direct substitutions, trial division and textbook closed forms that are
 independent of the library's reduction, enumeration and decomposition
 algorithms.
@@ -13,13 +13,42 @@ import random
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from braidforms import quadforms, sl2z
-from braidforms.braid3 import BraidWord, BurauMat, garside_power
+from braidforms.braid3 import (VALID_LETTERS, BraidWord, BurauMat, exponent_sum,
+                               garside_power, trace_b3)
 from braidforms.laurent import (NEG_Q, ONE, ZERO, GaussInt, HalfLaurent,
                                 NonDivisibleError)
 from braidforms.quadforms import FormClassKey, QForm
 from braidforms.sl2z import Mat2Z
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The traces |t| <= 8 but +-2, where the census and the bounded matrix
+# oracles reach every class.
+CENSUS_TRACES = tuple(t for t in range(-8, 9) if t not in (-2, 2))
+
+
+def random_st_matrix(rng: random.Random, syllables: int = 5, max_power: int = 4) -> Mat2Z:
+    """The st_product of a random word of at most `syllables` nonzero S/T powers."""
+    word = []
+    for _ in range(rng.randrange(0, syllables + 1)):
+        power = rng.choice([p for p in range(-max_power, max_power + 1) if p])
+        word.append((rng.choice("ST"), power))
+    return sl2z.st_product(word)
+
+
+def words_up_to(max_len: int) -> Iterator[BraidWord]:
+    """Every braid word of at most max_len letters, shortest first."""
+    for length in range(max_len + 1):
+        yield from (BraidWord(w) for w in product(VALID_LETTERS, repeat=length))
+
+
+def direct(word: BraidWord) -> tuple[int, int]:
+    """The (trace, exponent sum) cell of a word, computed from its letters."""
+    return trace_b3(word), exponent_sum(word)
+
 
 _GEN_TUPLES = (
     (1, 1, 0, 1),    # S

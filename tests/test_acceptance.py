@@ -11,7 +11,8 @@ from itertools import product
 from braidforms import birman_menasco, braid3, counts, quadforms
 from braidforms.braid3 import BraidWord
 from braidforms.laurent import CYCLOTOMIC3, HalfLaurent, NEG_Q, monomial_pow
-from oracles import conjugacy_components, random_word, trace_t_matrices
+from oracles import (CENSUS_TRACES, conjugacy_components, direct, random_word,
+                     trace_t_matrices, words_up_to)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -117,12 +118,10 @@ def _check_specializations(w: BraidWord) -> bool:
 def test_06_polynomial_specializations():
     bad = []
     total = 0
-    for length in range(8):
-        for letters in product((1, -1, 2, -2), repeat=length):
-            total += 1
-            w = BraidWord(letters)
-            if not _check_specializations(w):
-                bad.append(letters)
+    for w in words_up_to(7):
+        total += 1
+        if not _check_specializations(w):
+            bad.append(w.letters)
     rng = random.Random(20240313)
     for _ in range(10_000):
         total += 1
@@ -135,10 +134,6 @@ def test_06_polynomial_specializations():
 
 def test_07_closed_trace_exponent_formulas():
     bad = []
-
-    def direct(word):
-        return (braid3.trace_b3(word), braid3.exponent_sum(word))
-
     # unknot fiber words
     for word, expected in (
             (BraidWord((1, 2)), (1, 2)),
@@ -211,7 +206,7 @@ def test_10_brute_force_concordance():
     table = counts.census_table(12, range(-8, 9), range(-8, 9))
     unsound = []
     gaps = []
-    for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+    for t in CENSUS_TRACES:
         for n in range(-8, 9):
             census = table.get((t, n), 0)
             exact = counts.class_count(t, n)
@@ -224,7 +219,7 @@ def test_10_brute_force_concordance():
     _report("10b census reaches x_count at length 12", not gaps,
             "289 cells" if not gaps else f"residual gaps: {gaps}")
     mismatches = []
-    for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+    for t in CENSUS_TRACES:
         comps = conjugacy_components(trace_t_matrices(t, 12), 50)
         if len(comps) != quadforms.class_number(t):
             mismatches.append((t, len(comps), quadforms.class_number(t)))

@@ -12,11 +12,7 @@ from braidforms.birman_menasco import (_family_solutions, class_excess,
 from braidforms.braid3 import BraidWord
 from braidforms.counts import default_sweep_exponent
 from braidforms.sl2z import S, Mat2Z
-from oracles import filtered_family_solutions
-
-
-def direct(word):
-    return (braid3.trace_b3(word), braid3.exponent_sum(word))
+from oracles import direct, filtered_family_solutions
 
 
 class TestFamilyIII:

@@ -1,7 +1,6 @@
 """Tests for braid words, the Burau representation, and closure invariants."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -12,14 +11,9 @@ from braidforms.braid3 import (BraidParseError, BraidWord, BurauMat, alexander,
 from braidforms.laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent,
                                 NEG_INV_SQRT_Q, NEG_Q, ONE, ZERO, monomial_pow)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T
-from oracles import random_word
+from oracles import random_word, words_up_to
 
 DELTA = BraidWord((1, 2, 1))
-
-
-def words_up_to(max_len):
-    for length in range(max_len + 1):
-        yield from (BraidWord(w) for w in product((1, -1, 2, -2), repeat=length))
 
 
 class TestParse:

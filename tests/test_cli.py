@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from braidforms import birman_menasco, braid3, counts, quadforms, sl2z
 from braidforms.cli import (MAX_ABS_T, MAX_CENSUS_LEN, MAX_VERIFY_ABS_T_SUM,
                             MAX_WORD_COST, MAX_WORD_LETTERS, build_parser, main)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from oracles import SRC
 
 
 def run(capsys, *argv):

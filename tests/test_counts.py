@@ -12,17 +12,9 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                default_sweep_exponent, link_count,
                                trace_classes)
 from braidforms.quadforms import QForm
-from braidforms.sl2z import st_product
-from oracles import (cycle_sum_residue, necklace_histogram, normal_form_word,
-                     rademacher_residue, word_census_table)
-
-
-def random_matrix(rng, syllables=5, max_power=4):
-    word = []
-    for _ in range(rng.randrange(0, syllables + 1)):
-        power = rng.choice([p for p in range(-max_power, max_power + 1) if p])
-        word.append((rng.choice("ST"), power))
-    return st_product(word)
+from oracles import (CENSUS_TRACES, cycle_sum_residue, necklace_histogram,
+                     normal_form_word, rademacher_residue, random_st_matrix,
+                     word_census_table)
 
 
 def rotated(cycle):
@@ -53,7 +45,7 @@ class TestTraceClasses:
             for cls in trace_classes(t):
                 rep = quadforms.matrix_of_form(cls.key.rep_form(), t)
                 for _ in range(5):
-                    p = random_matrix(rng)
+                    p = random_st_matrix(rng)
                     conj = p * rep * p.inverse()
                     assert sl2z.exponent_mod12(conj) == cls.residue
 
@@ -306,21 +298,21 @@ class TestCensus:
         # The exponent window prunes the walk hardest around one cell.
         for max_len in range(10):
             words = word_census_table(max_len, 8, 9)
-            for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+            for t in CENSUS_TRACES:
                 for n in range(-9, 10):
                     expected = {(t, n): words[t, n]} if (t, n) in words else {}
                     assert census_table(max_len, range(t, t + 1), range(n, n + 1)) == expected
 
     def test_single_cell_box_matches_full_table(self):
         table = census_table(10, *box(8, 8))
-        for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+        for t in CENSUS_TRACES:
             for n in range(-8, 9):
                 assert braid_census(t, n, 10) == table.get((t, n), 0), (t, n)
 
     def test_mirror_symmetry(self):
         # s_i -> s_i^-1 conjugates the matrix image by diag(1, -1): the
         # trace stays and the exponent changes sign, at every length.
-        for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+        for t in CENSUS_TRACES:
             for n in range(1, 9):
                 assert braid_census(t, n, 11) == braid_census(t, -n, 11), (t, n)
 

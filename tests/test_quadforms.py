@@ -14,10 +14,10 @@ from braidforms.quadforms import (FormClassKey, QForm,
                                   form_of_matrix, matrix_of_form, reduce)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
 import oracles
-from oracles import (conjugacy_components, divisor_sieve_reduced_forms,
+from oracles import (CENSUS_TRACES, conjugacy_components, divisor_sieve_reduced_forms,
                      evaluate, forms_with_bounded_coeffs, primes_upto,
-                     progression_quarters, reduced_cycle_step, sl2_ball,
-                     sqrt_mod_prime, substitute, trace_t_matrices,
+                     progression_quarters, random_st_matrix, reduced_cycle_step,
+                     sl2_ball, sqrt_mod_prime, substitute, trace_t_matrices,
                      trial_division_reduced_forms)
 
 
@@ -36,14 +36,6 @@ def sieve_quarters():
     """The divisor sieve's quarter at large traces, for the root table and the certificate."""
     return {big: quarter(divisor_sieve_reduced_forms(big))
             for big in (4096, 4999, 10**4, 30030, 99999, 10**5)}
-
-
-def random_matrix(rng, syllables=5, max_power=4):
-    word = []
-    for _ in range(rng.randrange(0, syllables + 1)):
-        power = rng.choice([p for p in range(-max_power, max_power + 1) if p])
-        word.append((rng.choice("ST"), power))
-    return st_product(word)
 
 
 def random_form(rng):
@@ -71,7 +63,7 @@ class TestAct:
     def test_discriminant_invariance(self):
         rng = random.Random(1)
         for _ in range(300):
-            m, f = random_matrix(rng), random_form(rng)
+            m, f = random_st_matrix(rng), random_form(rng)
             assert act(m, f).discriminant() == f.discriminant()
 
     def test_shear_example(self):
@@ -81,7 +73,7 @@ class TestAct:
     def test_matches_pointwise_substitution(self):
         rng = random.Random(2)
         for _ in range(200):
-            m, f = random_matrix(rng), random_form(rng)
+            m, f = random_st_matrix(rng), random_form(rng)
             g = act(m, f)
             for x, y in ((1, 0), (0, 1), (1, 1), (2, -3)):
                 assert evaluate(g, x, y) == substitute(f, m, x, y)
@@ -90,7 +82,7 @@ class TestAct:
         # act(M, act(N, f)) == act(N * M, f): pins the group action order.
         rng = random.Random(3)
         for _ in range(200):
-            m, n, f = random_matrix(rng), random_matrix(rng), random_form(rng)
+            m, n, f = random_st_matrix(rng), random_st_matrix(rng), random_form(rng)
             assert act(m, act(n, f)) == act(n * m, f)
 
 
@@ -107,14 +99,14 @@ class TestReduce:
             disc = f.discriminant()
             if disc > 0 and int(disc ** 0.5) ** 2 == disc:
                 continue
-            m = random_matrix(rng)
+            m = random_st_matrix(rng)
             assert reduce(act(m, f)) == reduce(f)
 
     def test_every_reduced_definite_form_to_disc_minus_400(self):
         # Each reduced form |b| <= a <= c, b >= 0 if |b| = a or a = c, and
         # its negative, is its own key, and substitutions keep that key.
         rng = random.Random(13)
-        pool = [random_matrix(rng) for _ in range(100)]
+        pool = [random_st_matrix(rng) for _ in range(100)]
         count = 0
         for disc in [d for d in range(-400, 0) if d % 4 in (0, 1)]:
             for a in range(1, math.isqrt(-disc // 3) + 1):
@@ -226,7 +218,7 @@ class TestEquivalent:
             disc = f.discriminant()
             if disc > 0 and int(disc ** 0.5) ** 2 == disc:
                 continue
-            assert equivalent(f, act(random_matrix(rng), f))
+            assert equivalent(f, act(random_st_matrix(rng), f))
 
     def test_different_discriminants(self):
         assert not equivalent(QForm(1, 0, 1), QForm(1, 1, -1))
@@ -265,7 +257,7 @@ class TestEnumerateClasses:
                 assert reduce(key.rep_form()) == key
 
     def test_matches_conjugacy_component_oracle(self):
-        for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+        for t in CENSUS_TRACES:
             comps = conjugacy_components(trace_t_matrices(t, 12), 50)
             assert class_number(t) == len(comps)
 
@@ -409,10 +401,10 @@ class TestCorrespondence:
         rng = random.Random(7)
         done = 0
         while done < 200:
-            m = random_matrix(rng)
+            m = random_st_matrix(rng)
             if m.trace() in (2, -2):
                 continue
-            p = random_matrix(rng)
+            p = random_st_matrix(rng)
             f = form_of_matrix(m)
             g = form_of_matrix(p * m * p.inverse())
             assert equivalent(f, g)

@@ -8,14 +8,18 @@ from braidforms import braid3
 from braidforms.quadforms import enumerate_classes, is_conjugate, matrix_of_form
 from braidforms.sl2z import (IDENTITY, Mat2Z, S, T, decompose_st,
                              exponent_mod12, st_product)
-from oracles import (conjugacy_components, rademacher_residue, random_word,
-                     sl2_ball, trace_t_matrices)
+from oracles import (CENSUS_TRACES, conjugacy_components, rademacher_residue,
+                     random_word, sl2_ball, trace_t_matrices, words_up_to)
 
 NEG_I = Mat2Z(-1, 0, 0, -1)
 
 
 def random_matrix(rng, syllables=6, max_power=5):
-    """The product of a random S/T word, each power folded into four integers."""
+    """The product of a random S/T word, each power folded into four integers.
+
+    Kept apart from oracles.random_st_matrix, which calls st_product: this
+    fold is written out by hand because the tests here check st_product.
+    """
     powers = [p for p in range(-max_power, max_power + 1) if p]
     a, b, c, d = 1, 0, 0, 1
     for _ in range(rng.randrange(0, syllables + 1)):
@@ -138,12 +142,8 @@ class TestExponentMod12:
             assert exponent_mod12(m * n) == (exponent_mod12(m) + exponent_mod12(n)) % 12
 
     def test_matches_braid_exponent_exhaustively(self):
-        from itertools import product as iproduct
-
-        for length in range(0, 8):
-            for letters in iproduct((1, -1, 2, -2), repeat=length):
-                w = braid3.BraidWord(letters)
-                assert exponent_mod12(braid3.phi(w)) == braid3.exponent_sum(w) % 12
+        for w in words_up_to(7):
+            assert exponent_mod12(braid3.phi(w)) == braid3.exponent_sum(w) % 12
 
     def test_matches_braid_exponent_random_long(self):
         rng = random.Random(7)
@@ -195,7 +195,7 @@ class TestIsConjugate:
 
     def test_agrees_with_component_oracle(self):
         # Partition small matrices per trace two ways and compare.
-        for t in [t for t in range(-8, 9) if t not in (-2, 2)]:
+        for t in CENSUS_TRACES:
             mats = trace_t_matrices(t, 8)
             components = conjugacy_components(mats, 50)
             by_oracle = {frozenset(c) for c in components}

@@ -11,7 +11,6 @@ import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,8 +20,8 @@ from braidforms import (BraidWord, BurauMat, ClassWithExponent, CountsRow,
                         MainIdentityReport, Mat2Z, QForm, SymmetryReport, braid3)
 from braidforms.cli import Record
 from braidforms.laurent import HalfLaurent
+from oracles import SRC
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 KEY = FormClassKey(5, (-1, 1, 1), ((-1, 1, 1), (1, 1, -1)))
 KEY_REPR = "FormClassKey(disc=5, rep=(-1, 1, 1), cycle=((-1, 1, 1), (1, 1, -1)))"
 ROW_REPR = "CountsRow(t=3, n=0, x_count=1, m=1, p=0)"
