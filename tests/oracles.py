@@ -439,7 +439,7 @@ def normal_form_word(key: FormClassKey, t: int) -> BraidWord:
 
 
 def random_word(rng: random.Random, max_len: int) -> tuple[int, ...]:
-    return tuple(rng.choice((1, -1, 2, -2))
+    return tuple(rng.choice(VALID_LETTERS)
                  for _ in range(rng.randrange(0, max_len + 1)))
 
 

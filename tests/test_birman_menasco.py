@@ -12,7 +12,7 @@ from braidforms.birman_menasco import (_family_solutions, class_excess,
 from braidforms.braid3 import BraidWord
 from braidforms.counts import default_sweep_exponent
 from braidforms.sl2z import S, Mat2Z
-from oracles import direct, filtered_family_solutions
+from oracles import direct, filtered_family_solutions, normal_form_word
 
 
 class TestFamilyIII:
@@ -296,3 +296,24 @@ class TestFiberPairs:
         assert len(pairs) == 88
         for a, b in pairs:
             assert_distinct_classes_same_closure(a, b)
+
+    def test_shared_closures_fit_the_invariant_bound(self):
+        # The classes of a shared closure are one link, so they share Jones
+        # and Alexander: shared_closure_count(t, n) <= x_count - #distinct
+        # (Jones, Alexander) over the cell's class words, each lifted to
+        # exponent n by Delta^4j (phi image I, exponent 12j).  class_excess
+        # also counts braid-index-1 and -2 closures, which this bound
+        # leaves out.  Every family cell of 3 <= |t| <= 60 lies in
+        # |n| <= 3|t| + 30; elsewhere the count is 0 and the bound holds
+        # for any invariants.
+        cells = 0
+        for t in [s * t for t in range(3, 61) for s in (1, -1)]:
+            words = [(cls.residue, normal_form_word(cls.key, t)) for cls in counts.trace_classes(t)]
+            for n in range(-3 * abs(t) - 30, 3 * abs(t) + 31):
+                if shared := shared_closure_count(t, n):
+                    lifted = [w * braid3.garside_power(4 * ((n - braid3.exponent_sum(w)) // 12))
+                              for residue, w in words if residue == n % 12]
+                    invariants = {(braid3.jones(w), braid3.alexander(w)) for w in lifted}
+                    assert shared <= counts.class_count(t, n) - len(invariants), (t, n)
+                    cells += 1
+        assert cells == 87

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import oracles
-from braidforms.braid3 import (BraidParseError, BraidWord, BurauMat, alexander,
-                               burau, exponent_sum, garside_power, jones,
+from braidforms.braid3 import (VALID_LETTERS, BraidParseError, BraidWord, BurauMat,
+                               alexander, burau, exponent_sum, garside_power, jones,
                                parse_syllables, phi, special_value, trace_b3)
 from braidforms.laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent,
                                 NEG_INV_SQRT_Q, NEG_Q, ONE, ZERO, monomial_pow)
@@ -216,7 +216,7 @@ class TestSyllableKernel:
                 assert phi(w) == mat, w
                 checked += 1
                 if length < 7:
-                    for letter in (1, -1, 2, -2):
+                    for letter in VALID_LETTERS:
                         children[letters + (letter,)] = (bur * oracles.BURAU_GEN[letter],
                                                          mat * oracles.PHI_GEN[letter])
             level = children
@@ -234,7 +234,7 @@ class TestSyllableKernel:
         words = [BraidWord.parse(text) for text in
                  ("1^200 -2^200", "-1^200 2^200", "2^200 -1^3 1^0 -2^199")]
         for _ in range(30):
-            tokens = [f"{rng.choice((1, -1, 2, -2))}^{rng.randint(1, 200)}"
+            tokens = [f"{rng.choice(VALID_LETTERS)}^{rng.randint(1, 200)}"
                       for _ in range(rng.randint(2, 4))]
             words.append(BraidWord.parse(" ".join(tokens)))
         for w in words:

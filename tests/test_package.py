@@ -8,6 +8,7 @@ from pathlib import Path
 import braidforms
 
 PACKAGE = Path(braidforms.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def module_imports(path: Path, modules: set[str]) -> set[str]:
@@ -79,6 +80,31 @@ def test_one_refusal_of_the_excluded_trace():
                     refusals += [(path.stem, text.value) for text in ast.walk(node)
                                  if isinstance(text, ast.Constant) and phrase in str(text.value)]
     assert refusals == [("quadforms", "t = +-2 is excluded")]
+
+
+def function_names(body: list[ast.stmt]):
+    """The functions that a block defines, nested ones too, outside class bodies."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        if not isinstance(node, ast.ClassDef):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                yield from function_names(getattr(node, block, []))
+
+
+def test_helper_names_have_one_definition():
+    # A helper that two test modules need lives once, in tests/oracles.py,
+    # so a change to how tests draw matrices, words or traces is made in
+    # one place.  It imports nothing: it reads the syntax trees.
+    owners = {}
+    for path in sorted(TESTS.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        names = set(function_names(body))
+        names.update(target.id for node in body if isinstance(node, ast.Assign)
+                     for target in node.targets if isinstance(target, ast.Name))
+        for name in names:
+            owners.setdefault(name, []).append(path.name)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}
 
 
 def init_imports() -> list[str]:

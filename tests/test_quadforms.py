@@ -38,6 +38,12 @@ def sieve_quarters():
             for big in (4096, 4999, 10**4, 30030, 99999, 10**5)}
 
 
+@pytest.fixture(scope="module")
+def dense_quarters():
+    """The progressions' quarter for every 3 <= t <= 2000, for the root table and the count."""
+    return progression_quarters(2000)
+
+
 def random_form(rng):
     while True:
         f = QForm(rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
@@ -294,13 +300,20 @@ class TestEnumerateClasses:
                 assert (2 * abs(a) + b) ** 2 > disc
                 assert 2 * abs(a) < b or (2 * abs(a) - b) ** 2 < disc
 
-    def test_root_table_matches_divisor_sieve_oracle(self, sieve_quarters):
+    def test_root_table_matches_divisor_sieve_oracle(self, dense_quarters, sieve_quarters):
         # The dense range from one pass over progressions, the large
         # traces from the divisor sieve.
-        dense = progression_quarters(2000)
         for t in [*range(3, 2001), *sieve_quarters]:
-            expected = dense[t] if t in dense else sieve_quarters[t]
+            expected = dense_quarters[t] if t in dense_quarters else sieve_quarters[t]
             assert sorted(_reduced_indefinite_forms(t)) == expected, t
+
+    def test_cycles_hold_every_reduced_form(self, dense_quarters):
+        # Between the necklace oracle (|t| <= 180) and the certificate's
+        # large traces: a class list that loses a whole mirror orbit
+        # holds fewer cycle members than there are reduced forms.
+        for t in range(181, 601):
+            assert sum(len(key.cycle) for key in enumerate_classes(t)) == \
+                len(mirror_closure(dense_quarters[t])), t
 
     def test_completeness_certificate(self, sieve_quarters):
         # Each class has exactly one reduced cycle.  So the class list is
