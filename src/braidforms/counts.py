@@ -67,10 +67,10 @@ def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, in
     residues: dict[tuple[int, int, int], int] = {}
     for key in keys:
         if key.rep not in residues:
-            r = residues[key.rep] = sl2z.exponent_mod12(quadforms.matrix_of_form(key.rep_form(), t))
+            r = residues[key.rep] = sl2z.exponent_mod12(quadforms._matrix(key.rep, t))
             if key.cycle:  # not one of the two definite classes of |t| <= 1
-                for image, residue in zip(quadforms._mirrors(key.cycle), (-r % 12, r, -r % 12)):
-                    residues.setdefault(min(image), residue)  # its rep, listed or not
+                for rep, residue in zip(quadforms._image_reps(key.cycle), (-r % 12, r, -r % 12)):
+                    residues.setdefault(rep, residue)  # listed or not
     return keys, residues
 
 

@@ -111,9 +111,7 @@ def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 def _is_reduced_indefinite(f: tuple[int, int, int], root: int) -> bool:
     a, b, _ = f
-    if b < 1 or b > root:
-        return False
-    return root - b + 1 <= 2 * abs(a) <= root + b
+    return 0 < b <= root and root - b + 1 <= 2 * abs(a) <= root + b
 
 
 def _steps(f: tuple[int, int, int], root: int) -> Iterator[tuple[int, int, int]]:
@@ -135,20 +133,24 @@ def _steps(f: tuple[int, int, int], root: int) -> Iterator[tuple[int, int, int]]
         yield a, b, c
 
 
-def _indefinite_cycle(f: tuple[int, int, int], root: int) -> list[tuple[int, int, int]]:
-    """The reduced cycle of f, from the first reduced form _steps reaches."""
+def _reduce_indefinite(f: tuple[int, int, int], root: int) -> tuple[int, int, int]:
+    """The first reduced form that _steps reaches from f, or f if it is reduced."""
     steps = _steps(f, root)
     # While |c| > sqrt(D), |b'| <= |c| and D < c^2 give |c'| <= |c|/4; then a few steps reduce.
     g, limit = f, max(map(abs, f)).bit_length() + 4
     for _ in range(limit):
         if _is_reduced_indefinite(g, root):
-            break
+            return g
         g = next(steps)
     else:  # sizes, not values: int -> str refuses more than 4300 digits
         raise RuntimeError(f"reduction did not terminate in {limit} steps on a form of "
                            f"coefficient bit lengths {tuple(x.bit_length() for x in f)}")
+
+
+def _cycle(g: tuple[int, int, int], root: int) -> list[tuple[int, int, int]]:
+    """The reduced cycle of the reduced form g, from g."""
     cycle = [g]
-    for h in steps:
+    for h in _steps(g, root):
         if h == g:
             return cycle
         cycle.append(h)
@@ -166,7 +168,7 @@ def reduce(f: QForm) -> FormClassKey:
     root = _check_discriminant(disc)
     if disc < 0:
         return FormClassKey(disc, _reduce_definite(f.a, f.b, f.c))
-    cycle = _rotated(_indefinite_cycle(f.triple(), root))
+    cycle = _rotated(_cycle(_reduce_indefinite(f.triple(), root), root))
     return FormClassKey(disc, cycle[0], cycle)
 
 
@@ -248,7 +250,7 @@ def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
     roots: list[tuple[int, ...]] = [(), (0,)] + [()] * (top - 1)
     for x in range(2, top + 1):
         p = q = spf[x]
-        if p < x and not roots[p]:  # no root mod p, so none mod x
+        if p < x and not (roots[p] and roots[x // p]):  # a root mod x is one mod p and x/p
             continue
         while x // q % p == 0:
             q *= p
@@ -286,6 +288,18 @@ def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, i
     return [(-a, b, -c) for a, b, c in cycle], flipped, [(-a, b, -c) for a, b, c in flipped]
 
 
+def _image_reps(cycle: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:
+    """The least members of the _mirrors images of a cycle that starts at its least member.
+
+    Reduced forms have ac < 0 and the step makes a' = c: along the cycle, of even length,
+    a < 0 < c at even positions and c < 0 < a at odd ones.  Image reps have a < 0: sigma's
+    (-a, b, -c) and rho's (c, b, a) come from odd positions, sigma-rho's (-c, b, -a) from even.
+    """
+    odd = cycle[1::2]
+    return (min([(-a, b, -c) for a, b, c in odd]), min([(c, b, a) for a, b, c in odd]),
+            min([(-c, b, -a) for a, b, c in cycle[::2]]))
+
+
 # Few entries: callers reuse one t (or t and -t) at a time, and at large
 # |t| one entry takes megabytes.
 @lru_cache(maxsize=4)
@@ -295,9 +309,9 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     Negative discriminant (|t| < 2): D is -3 or -4, of class number
     one, so the classes are those of x^2 + txy + y^2 and its negative,
     a separate negative definite class.
-    Positive discriminant: the cycle of each form of
-    _reduced_indefinite_forms not yet seen is walked, and its mirror
-    images (_mirrors) are the other classes of its orbit.  An image
+    Positive discriminant: the cycle of each reduced form of
+    _reduced_indefinite_forms not yet seen is walked from it, and its
+    mirror images (_mirrors) are the other classes of its orbit.  An image
     whose first member is not yet seen is a new class, rotated to start
     at its least member; the classes are sorted by that representative.
     """
@@ -311,7 +325,7 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     for f in _reduced_indefinite_forms(t):
         if f in seen:
             continue
-        for cycle in (walked := _indefinite_cycle(f, root), *_mirrors(walked)):
+        for cycle in (walked := _cycle(f, root), *_mirrors(walked)):
             if cycle[0] not in seen:
                 cycle = _rotated(cycle)
                 cycles[cycle[0]] = cycle
@@ -345,4 +359,9 @@ def matrix_of_form(f: QForm, t: int) -> Mat2Z:
     _check_trace(t)
     if f.discriminant() != t * t - 4:
         raise ValueError(f"discriminant {f.discriminant()} does not match t^2 - 4 = {t * t - 4}")
-    return Mat2Z((t - f.b) // 2, f.a, -f.c, (t + f.b) // 2)
+    return _matrix(f.triple(), t)
+
+
+def _matrix(f: tuple[int, int, int], t: int) -> Mat2Z:
+    """matrix_of_form without its checks, for a form of discriminant t^2 - 4."""
+    return Mat2Z((t - f[1]) // 2, f[0], -f[2], (t + f[1]) // 2)

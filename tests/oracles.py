@@ -8,6 +8,7 @@ algorithms.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections.abc import Iterable, Iterator, Mapping
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from braidforms import quadforms, sl2z
+from braidforms import counts, quadforms, sl2z
 from braidforms.braid3 import (VALID_LETTERS, BraidWord, BurauMat, exponent_sum,
                                garside_power, trace_b3)
 from braidforms.laurent import (NEG_Q, ONE, ZERO, GaussInt, HalfLaurent,
@@ -28,6 +29,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # The traces |t| <= 8 but +-2, where the census and the bounded matrix
 # oracles reach every class.
 CENSUS_TRACES = tuple(t for t in range(-8, 9) if t not in (-2, 2))
+
+
+def class_digest(traces: Iterable[int]) -> str:
+    """sha256 over repr((t, rep, cycle, residue)) of every trace-t class, t in order."""
+    digest = hashlib.sha256()
+    for t in traces:
+        for cls in counts.trace_classes(t):
+            digest.update(repr((t, cls.key.rep, cls.key.cycle, cls.residue)).encode())
+    return digest.hexdigest()
 
 
 def random_st_matrix(rng: random.Random, syllables: int = 5, max_power: int = 4) -> Mat2Z:

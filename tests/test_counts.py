@@ -12,7 +12,7 @@ from braidforms.counts import (CountsRow, LinkCountError, braid_census,
                                default_sweep_exponent, link_count,
                                trace_classes)
 from braidforms.quadforms import QForm
-from oracles import (CENSUS_TRACES, cycle_sum_residue, necklace_histogram,
+from oracles import (CENSUS_TRACES, class_digest, cycle_sum_residue, necklace_histogram,
                      normal_form_word, rademacher_residue, random_st_matrix,
                      word_census_table)
 
@@ -86,6 +86,13 @@ class TestTraceClasses:
             for cls in trace_classes(t):
                 rep = quadforms.matrix_of_form(cls.key.rep_form(), t)
                 assert cls.residue == rademacher_residue(rep), (t, cls.key.rep)
+
+    def test_classes_and_residues_digest(self):
+        # Pins every class, cycle order and residue of |t| <= 300; CI checks
+        # the same digest over |t| <= 2500 and five larger traces.
+        traces = [t for t in range(-300, 301) if t not in (2, -2)]
+        assert class_digest(traces) == \
+            "c830d6d7b0cc1569cc952052e66dcd552cabc9d9ad5f4197818a5edda81b111f"
 
     def test_residues_match_cycle_sum(self):
         # The residue read off the reduced cycle, on every class; 4,252 of

@@ -383,6 +383,21 @@ class TestEnumerateClasses:
                     assert next(_steps(member, root)) == cycle[(i + 1) % len(cycle)]
 
 
+    def test_image_reps_read_one_parity_of_the_cycle(self):
+        # a alternates in sign along a reduced cycle, from its least member,
+        # of a < 0, so each mirror image's least member has one parity.  The
+        # enumeration reads t only as |t|: the classes of -t are those of t.
+        from braidforms.quadforms import _image_reps, _mirrors
+
+        for t in [*range(3, 301), 4999, -10**4, 30030]:
+            for key in enumerate_classes(t):
+                cycle = key.cycle
+                assert len(cycle) % 2 == 0, (t, key.rep)
+                assert all(a < 0 < c for a, _, c in cycle[::2]), (t, key.rep)
+                assert all(c < 0 < a for a, _, c in cycle[1::2]), (t, key.rep)
+                assert _image_reps(cycle) == tuple(min(image) for image in _mirrors(cycle))
+
+
 class TestCorrespondence:
     def test_form_of_matrix_examples(self):
         assert form_of_matrix(Mat2Z(0, 1, -1, 0)) == QForm(1, 0, 1)
