@@ -140,11 +140,12 @@ def _reduce_indefinite(f: tuple[int, int, int], root: int) -> tuple[int, int, in
     g, limit = f, max(map(abs, f)).bit_length() + 4
     for _ in range(limit):
         if _is_reduced_indefinite(g, root):
-            return g
+            break
         g = next(steps)
     else:  # sizes, not values: int -> str refuses more than 4300 digits
         raise RuntimeError(f"reduction did not terminate in {limit} steps on a form of "
                            f"coefficient bit lengths {tuple(x.bit_length() for x in f)}")
+    return g
 
 
 def _cycle(g: tuple[int, int, int], root: int) -> list[tuple[int, int, int]]:
