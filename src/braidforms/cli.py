@@ -28,7 +28,7 @@ MAX_ABS_T = 10**5
 MAX_CENSUS_LEN = 16
 #: Largest sum of |t| over a verify range.  One t costs time about
 #: proportional to |t| (a little more per unit at large |t|); a range at
-#: this bound (3..2448) takes 5 to 8.5 s on 2 CPUs, interpreter start included.
+#: this bound (3..2448) takes 4 to 6.5 s on 2 CPUs, interpreter start included.
 MAX_VERIFY_ABS_T_SUM = 3 * 10**6
 #: Largest invariants word, in letters after powers and --delta-power
 #: are expanded.

@@ -382,7 +382,6 @@ class TestEnumerateClasses:
                     assert _is_reduced_indefinite(member, root)
                     assert next(_steps(member, root)) == cycle[(i + 1) % len(cycle)]
 
-
     def test_image_reps_read_one_parity_of_the_cycle(self):
         # a alternates in sign along a reduced cycle, from its least member,
         # of a < 0, so each mirror image's least member has one parity.  The
