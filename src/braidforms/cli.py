@@ -3,8 +3,8 @@
 Subcommands: h, forms, classes, invariants, counts, m, census, verify.
 Each returns one Record, which main renders as text, JSON or CSV; every
 JSON document carries the top-level key "schema": "bqf-braid/1".  Exit
-status is 0 on success, 1 if any verification cell fails or stdout is
-closed before all output is written (as by `| head`), 2 for bad input.
+status is 0 on success, 1 if a verification cell fails, stdout is missing or
+closed early (`>&-`, `| head`) or a write fails (one error line), 2 for bad input.
 """
 
 from __future__ import annotations
@@ -144,8 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
     if total > MAX_VERIFY_ABS_T_SUM:
         raise ValueError(f"sum of |t| over the range = {total} exceeds "
                          f"the limit {MAX_VERIFY_ABS_T_SUM}")
-    results = []
-    skipped = []
+    results, skipped = [], []
     for t in range(args.tmin, args.tmax + 1):
         if t in (2, -2):
             skipped.append(t)
@@ -236,7 +235,7 @@ def _render(record: Record, command: str, fmt: str) -> str:
 
 
 def _write_stdout(text: str) -> None:
-    """Write all of text to stdout, or raise BrokenPipeError.
+    """Write all of text to stdout, or raise OSError.
 
     Unbuffered (python -u, PYTHONUNBUFFERED), sys.stdout.buffer is the raw
     file, whose write may take only part of the bytes; the text layer over
@@ -262,12 +261,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, counts.LinkCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if sys.stdout is None:  # fd 1 was closed at start: no reader, as after `| head`
+        return 1
     try:
         _write_stdout(_render(record, args.command, args.format))
-    except BrokenPipeError:
-        # The reader left early.  Point stdout at devnull so that the
-        # flush at interpreter exit cannot raise again.
+    except OSError as exc:
+        # A reader gone early is no error, a full disk is; devnull takes the exit flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     return record.status
 

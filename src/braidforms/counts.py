@@ -22,9 +22,10 @@ yields certified lower bounds for x_count that converge from below.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
-from . import _value, birman_menasco, braid3, quadforms, sl2z
+from . import _value, birman_menasco, braid3, quadforms
 from .quadforms import FormClassKey, QForm
 
 
@@ -55,29 +56,10 @@ class LinkCountError(RuntimeError):
         self.m = m
 
 
-def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, int], int]]:
-    """The trace-t class keys, and the exponent residue mod 12 by rep.
-
-    The residue is a class function, taken once per mirror orbit from the
-    matrix M of its first key, of residue r (Zagier 1975; Barge-Ghys 1992).
-    The sigma-image JMJ, J = diag(1, -1), sends S, T to S^-1, T^-1: -r; the
-    rho-image JM^TJ reverses words, S, T to T^-1, S^-1: r; sigma-rho: -r.
-    """
-    keys = quadforms.enumerate_classes(t)
-    residues: dict[tuple[int, int, int], int] = {}
-    for key in keys:
-        if key.rep not in residues:
-            r = residues[key.rep] = sl2z.exponent_mod12(quadforms._matrix(key.rep, t))
-            if key.cycle:  # not one of the two definite classes of |t| <= 1
-                for rep, residue in zip(quadforms._image_reps(key.cycle), (-r % 12, r, -r % 12)):
-                    residues.setdefault(rep, residue)  # listed or not
-    return keys, residues
-
-
 @lru_cache(maxsize=4)
 def trace_classes(t: int) -> tuple[ClassWithExponent, ...]:
-    """All trace-t classes, one per form class, tagged with residues (_residues)."""
-    keys, residues = _residues(t)
+    """All trace-t classes, one per form class, tagged with residues (quadforms._residues)."""
+    keys, residues = quadforms._residues(t)
     return tuple(ClassWithExponent(key, t, residues[key.rep]) for key in keys)
 
 
@@ -122,10 +104,8 @@ class MainIdentityReport(_value.Value):
 
 def check_main_identity(t: int, n: int) -> MainIdentityReport:
     """Evaluate the identity at (t, n); inequality is reported, not raised."""
-    keys, residues = _residues(t)
-    tally = [0] * 12
-    for r in residues.values():
-        tally[r] += 1
+    keys, residues = quadforms._residues(t)
+    tally = Counter(residues.values())
     rows = tuple(_row(t, n + j, tally[(n + j) % 12]) for j in range(12))
     total = sum(r.p + r.m for r in rows)
     return MainIdentityReport(t, n, len(keys), total, rows, len(keys) == total)

@@ -22,7 +22,7 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache
 
-from . import _value
+from . import _value, sl2z
 from .sl2z import Mat2Z
 
 
@@ -289,18 +289,6 @@ def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, i
     return [(-a, b, -c) for a, b, c in cycle], flipped, [(-a, b, -c) for a, b, c in flipped]
 
 
-def _image_reps(cycle: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int], ...]:
-    """The least members of the _mirrors images of a cycle that starts at its least member.
-
-    Reduced forms have ac < 0 and the step makes a' = c: along the cycle, of even length,
-    a < 0 < c at even positions and c < 0 < a at odd ones.  Image reps have a < 0: sigma's
-    (-a, b, -c) and rho's (c, b, a) come from odd positions, sigma-rho's (-c, b, -a) from even.
-    """
-    odd = cycle[1::2]
-    return (min([(-a, b, -c) for a, b, c in odd]), min([(c, b, a) for a, b, c in odd]),
-            min([(-c, b, -a) for a, b, c in cycle[::2]]))
-
-
 # Few entries: callers reuse one t (or t and -t) at a time, and at large
 # |t| one entry takes megabytes.
 @lru_cache(maxsize=4)
@@ -332,6 +320,31 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
                 cycles[cycle[0]] = cycle
                 seen.update(cycle)
     return tuple(FormClassKey(disc, rep, cycles[rep]) for rep in sorted(cycles))
+
+
+def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, int], int]]:
+    """The trace-t class keys, and the exponent residue mod 12 by rep.
+
+    The residue is a class function, taken once per mirror orbit from the
+    matrix M of its first key, of residue r (Zagier 1975; Barge-Ghys 1992).
+    The sigma-image JMJ, J = diag(1, -1), sends S, T to S^-1, T^-1: -r; the
+    rho-image JM^TJ reverses words, S, T to T^-1, S^-1: r; sigma-rho: -r.
+    Each image class is named by the least member of its _mirrors cycle.
+    Reduced forms have ac < 0 and the step makes a' = c, so along a key's
+    cycle, of even length from its least member, a < 0 < c at even positions
+    and c < 0 < a at odd ones.  Least members have a < 0: sigma's (-a, b, -c)
+    and rho's (c, b, a) come from odd positions, sigma-rho's (-c, b, -a) from even.
+    """
+    keys = enumerate_classes(t)
+    residues: dict[tuple[int, int, int], int] = {}
+    for key in keys:
+        if key.rep not in residues:
+            r = residues[key.rep] = sl2z.exponent_mod12(_matrix(key.rep, t))
+            if key.cycle:  # indefinite: each image rep gets its residue, listed or not
+                residues.setdefault(min([(-a, b, -c) for a, b, c in key.cycle[1::2]]), -r % 12)
+                residues.setdefault(min([(c, b, a) for a, b, c in key.cycle[1::2]]), r)
+                residues.setdefault(min([(-c, b, -a) for a, b, c in key.cycle[::2]]), -r % 12)
+    return keys, residues
 
 
 def class_number(t: int) -> int:

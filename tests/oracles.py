@@ -60,11 +60,13 @@ def direct(word: BraidWord) -> tuple[int, int]:
     return trace_b3(word), exponent_sum(word)
 
 
-_GEN_TUPLES = (
-    (1, 1, 0, 1),    # S
-    (1, -1, 0, 1),   # S^-1
-    (1, 0, -1, 1),   # T
-    (1, 0, 1, 1),    # T^-1
+# The generators S, S^-1, T and T^-1, each as (matrix as (a, b, c, d),
+# exponent step, letter id, inverse letter id).
+_GEN_STEPS = (
+    ((1, 1, 0, 1), 1, 0, 1),
+    ((1, -1, 0, 1), -1, 1, 0),
+    ((1, 0, -1, 1), 1, 2, 3),
+    ((1, 0, 1, 1), -1, 3, 2),
 )
 
 
@@ -111,7 +113,7 @@ def conjugacy_components(mats, work_bound: int) -> list[set]:
         frontier = [seed]
         while frontier:
             m = frontier.pop()
-            for g in _GEN_TUPLES:
+            for g, *_ in _GEN_STEPS:
                 gi = (g[3], -g[1], -g[2], g[0])
                 n = tmul(g, tmul(m, gi))
                 if n in seen or max(abs(x) for x in n) > work_bound:
@@ -131,7 +133,7 @@ def sl2_ball(radius: int) -> list[Mat2Z]:
     for _ in range(radius):
         nxt = []
         for m in frontier:
-            for g in _GEN_TUPLES:
+            for g, *_ in _GEN_STEPS:
                 n = tmul(m, g)
                 if n not in seen:
                     seen.add(n)
@@ -489,17 +491,7 @@ def phi(w: BraidWord) -> sl2z.Mat2Z:
 
 
 # Word-by-word census: every freely reduced word up to max_len, walked
-# recursively with its own generator table.  Class keys come from
-# quadforms.reduce, uncached.
-_GEN_STEPS = (
-    # (matrix as (a, b, c, d), exponent step, letter id, inverse letter id)
-    ((1, 1, 0, 1), 1, 0, 1),
-    ((1, -1, 0, 1), -1, 1, 0),
-    ((1, 0, -1, 1), 1, 2, 3),
-    ((1, 0, 1, 1), -1, 3, 2),
-)
-
-
+# recursively over _GEN_STEPS.  Class keys come from quadforms.reduce, uncached.
 def _matrix_class_key(m: tuple[int, int, int, int]) -> FormClassKey:
     a, b, c, d = m
     return quadforms.reduce(QForm(b, d - a, -c))

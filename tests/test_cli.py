@@ -1,6 +1,7 @@
 """Tests for the command-line surface: output formats and exit codes."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 from time import perf_counter
 
@@ -544,24 +546,55 @@ class TestMainCalls:
         assert out.splitlines() == ["t=3 n=-24 h=1 window=1 pass",
                                     "t=4 n=-25 h=2 window=2 pass", "all pass"]
 
-    @pytest.mark.parametrize("unbuffered", [None, "1"])
-    def test_closed_pipe_exits_1_without_traceback(self, unbuffered):
-        # 600 kB of forms cannot fit in a pipe buffer, so the writer is
-        # still writing when the reader goes away.  Unbuffered, a write to
-        # the pipe can take part of the bytes without an error.
+    @staticmethod
+    def child_env(unbuffered=None) -> dict[str, str]:
+        """The environment of a child that imports braidforms from this tree."""
         env = {key: value for key, value in os.environ.items()
                if key != "PYTHONUNBUFFERED"}
         if unbuffered is not None:
             env["PYTHONUNBUFFERED"] = unbuffered
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return env
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    def test_closed_pipe_exits_1_without_traceback(self, unbuffered):
+        # 600 kB of forms cannot fit in a pipe buffer, so the writer is
+        # still writing when the reader goes away.  Unbuffered, a write to
+        # the pipe can take part of the bytes without an error.
         proc = subprocess.Popen([sys.executable, "-m", "braidforms.cli", "forms", "20000"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=self.child_env(unbuffered))
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert first == b"-19998 19998 1\n" and err == b""
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # Started with fd 1 closed (`>&-`), Python sets sys.stdout to None.
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m braidforms.cli h 5 >&-', sys.executable],
+                              stderr=subprocess.PIPE, env=self.child_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_failed_write_exits_1_with_one_error_line(self, tmp_path):
+        # As on a full disk.  stdout is then pointed at devnull, so that the
+        # flush at interpreter exit cannot raise again.
+        def full(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        stdout = types.SimpleNamespace(buffer=types.SimpleNamespace(write=full),
+                                       encoding="utf-8", errors="strict",
+                                       flush=lambda: None, fileno=lambda: fd)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                assert main(["h", "5"]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 # --- golden outputs ---------------------------------------------------------

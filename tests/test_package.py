@@ -82,6 +82,31 @@ def test_one_refusal_of_the_excluded_trace():
     assert refusals == [("quadforms", "t = +-2 is excluded")]
 
 
+def borrowed_private_names() -> set[str]:
+    """module._name for each private name that a package module takes from another."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.level or node.module.startswith("braidforms.")):
+                module = node.module.removeprefix("braidforms.")
+                found.update(f"{module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem}
+                  and node.attr.startswith("_") and not node.attr.startswith("__")):
+                found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_names_have_one_owner():
+    # A private helper is a rule that its module owns.  Only these two are
+    # lent out: the one refusal of t = +-2, and the residue pass over the
+    # mirror orbits that counts tallies.
+    assert borrowed_private_names() <= {"quadforms._check_trace", "quadforms._residues"}
+
+
 def function_names(body: list[ast.stmt]):
     """The functions that a block defines, nested ones too, outside class bodies."""
     for node in body:

@@ -382,19 +382,30 @@ class TestEnumerateClasses:
                     assert _is_reduced_indefinite(member, root)
                     assert next(_steps(member, root)) == cycle[(i + 1) % len(cycle)]
 
-    def test_image_reps_read_one_parity_of_the_cycle(self):
+    def test_residues_read_each_mirror_rep_from_one_parity_of_the_cycle(self):
         # a alternates in sign along a reduced cycle, from its least member,
-        # of a < 0, so each mirror image's least member has one parity.  The
-        # enumeration reads t only as |t|: the classes of -t are those of t.
-        from braidforms.quadforms import _image_reps, _mirrors
+        # of a < 0, so each mirror image's least member has one parity.  An
+        # orbit's head, its first listed class, gives its sigma, rho and
+        # sigma-rho images -r, r and -r.  The enumeration reads t only as
+        # |t|: the classes of -t are those of t.
+        from braidforms.quadforms import _mirrors, _residues
 
         for t in [*range(3, 301), 4999, -10**4, 30030]:
-            for key in enumerate_classes(t):
+            keys, residues = _residues(t)
+            reps, done = set(), set()
+            for key in keys:
                 cycle = key.cycle
                 assert len(cycle) % 2 == 0, (t, key.rep)
                 assert all(a < 0 < c for a, _, c in cycle[::2]), (t, key.rep)
                 assert all(c < 0 < a for a, _, c in cycle[1::2]), (t, key.rep)
-                assert _image_reps(cycle) == tuple(min(image) for image in _mirrors(cycle))
+                images = [min(image) for image in _mirrors(cycle)]
+                reps.update([min(cycle), *images])
+                if key.rep not in done:
+                    r = residues[key.rep]
+                    signed = [residues[rep] for rep in images]
+                    assert signed == [-r % 12, r, -r % 12], (t, key.rep)
+                    done.update([key.rep, *images])
+            assert residues.keys() == reps, t
 
 
 class TestCorrespondence:
