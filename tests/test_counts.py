@@ -253,7 +253,7 @@ class TestMainIdentity:
         listed = quadforms.enumerate_classes
         for lost in orbit[1:]:
             monkeypatch.setattr(quadforms, "enumerate_classes",
-                                lambda s: tuple(key for key in listed(s) if key.rep != lost))
+                                lambda s, lost=lost: tuple(k for k in listed(s) if k.rep != lost))
             report = check_main_identity(t, default_sweep_exponent(t))
             assert not report.ok, lost
             assert (report.h, report.window_total) == (9, 10), lost
