@@ -1,15 +1,16 @@
 """Command-line surface for every pipeline in the package.
 
 Subcommands: h, forms, classes, invariants, counts, m, census, verify.
-Each returns one Record, which main renders as text, JSON or CSV; every
-JSON document carries the top-level key "schema": "bqf-braid/1".  Exit
-status is 0 on success, 1 if a verification cell fails, stdout is missing or
-closed early (`>&-`, `| head`) or a write fails (one error line), 2 for bad input.
+Each returns one Record, which main renders as text, JSON or CSV; every JSON document carries
+the top-level key "schema": "bqf-braid/1".  Exit status, the same with stderr closed or full,
+is 0 on success, 1 if a verification cell fails, stdout is missing or closed early (`>&-`,
+`| head`) or a write fails (one error line), 2 for bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from functools import cache
@@ -253,14 +254,19 @@ def _write_stdout(text: str) -> None:
     sys.stdout.flush()
 
 
+def _fail(exc: Exception, status: int) -> int:
+    with contextlib.suppress(AttributeError, OSError):  # no stderr, or a closed or full one
+        sys.stderr.write(f"error: {exc}\n")
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_limits(args)
         record = COMMANDS[args.command][0](args)
     except (ValueError, counts.LinkCountError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     if sys.stdout is None:  # fd 1 was closed at start: no reader, as after `| head`
         return 1
     try:
@@ -268,9 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # A reader gone early is no error, a full disk is; devnull takes the exit flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, BrokenPipeError) else _fail(exc, 1)
     return record.status
 
 

@@ -85,17 +85,6 @@ def _check_trace(t: int) -> None:
         raise ValueError("t = +-2 is excluded")
 
 
-def _check_discriminant(disc: int) -> int:
-    if disc == 0:
-        raise ValueError("zero discriminant is not supported")
-    if disc > 0:
-        r = math.isqrt(disc)
-        if r * r == disc:
-            raise ValueError(f"square discriminant {disc} is not supported")
-        return r
-    return 0
-
-
 def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
     # Gauss reduction of s*(a, b, c), s the sign of a, to the positive
     # definite -a < b <= a <= c, b >= 0 if a == c; the result is s times it.
@@ -166,19 +155,19 @@ def _rotated(cycle: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], .
 def reduce(f: QForm) -> FormClassKey:
     """Canonical class key of f.  Rejects square and zero discriminants."""
     disc = f.discriminant()
-    root = _check_discriminant(disc)
+    if disc == 0:
+        raise ValueError("zero discriminant is not supported")
     if disc < 0:
         return FormClassKey(disc, _reduce_definite(f.a, f.b, f.c))
+    root = math.isqrt(disc)
+    if root * root == disc:
+        raise ValueError(f"square discriminant {disc} is not supported")
     cycle = _rotated(_cycle(_reduce_indefinite(f.triple(), root), root))
     return FormClassKey(disc, cycle[0], cycle)
 
 
 def equivalent(f: QForm, g: QForm) -> bool:
     """Same SL2(Z) orbit test, via equality of class keys."""
-    if f.discriminant() != g.discriminant():
-        _check_discriminant(f.discriminant())
-        _check_discriminant(g.discriminant())
-        return False
     return reduce(f) == reduce(g)
 
 
@@ -256,14 +245,14 @@ def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
         while x // q % p == 0:
             q *= p
         m = x // q
-        if m > 1 and roots[q] and roots[m]:
+        if m > 1:
             k = pow(m, -1, q)
             roots[x] = tuple(s + m * ((r - s) * k % q) for r in roots[q] for s in roots[m])
-        elif m == 1 and (q > p or p == 2):
+        elif q > p or p == 2:
             low = q // p
             roots[x] = tuple(r for r0 in roots[low] for r in range(r0, q, low)
                              if (r * (r - big) + 1) % q == 0)
-        elif m == 1 and (s := _sqrt_mod(disc, p)) is not None:
+        elif (s := _sqrt_mod(disc, p)) is not None:
             half = (p + 1) // 2  # the inverse of 2 mod p
             roots[x] = tuple({(big + s) * half % p, (big - s) * half % p})
     for x in range(1, top + 1):
@@ -306,9 +295,9 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     """
     _check_trace(t)
     disc = t * t - 4
-    root = _check_discriminant(disc)
     if disc < 0:
         return (reduce(QForm(1, t, 1)), reduce(QForm(-1, -t, -1)))
+    root = abs(t) - 1  # isqrt(D), as _reduced_indefinite_forms shows
     seen: set[tuple[int, int, int]] = set()
     cycles = {}
     for f in _reduced_indefinite_forms(t):

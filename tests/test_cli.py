@@ -577,24 +577,55 @@ class TestMainCalls:
                               stderr=subprocess.PIPE, env=self.child_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (1, b"")
 
-    def test_failed_write_exits_1_with_one_error_line(self, tmp_path):
-        # As on a full disk.  stdout is then pointed at devnull, so that the
-        # flush at interpreter exit cannot raise again.
-        def full(data):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    @staticmethod
+    def failing(code):
+        """A write that raises OSError(code), as on a closed fd or a full disk."""
+        def write(data):
+            raise OSError(code, os.strerror(code))
+        return write
 
+    def failing_stdout_main(self, tmp_path, argv, stderr) -> int:
+        """main(argv) with a stdout whose writes fail with ENOSPC, and stderr.
+
+        After a failed write stdout must point at devnull, so that the flush
+        at interpreter exit cannot raise again.
+        """
         fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
-        stdout = types.SimpleNamespace(buffer=types.SimpleNamespace(write=full),
-                                       encoding="utf-8", errors="strict",
+        buffer = types.SimpleNamespace(write=self.failing(errno.ENOSPC))
+        stdout = types.SimpleNamespace(buffer=buffer, encoding="utf-8", errors="strict",
                                        flush=lambda: None, fileno=lambda: fd)
-        err = io.StringIO()
         try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-                assert main(["h", "5"]) == 1
-            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = main(argv)
+            if status == 1:
+                assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
         finally:
             os.close(fd)
+        return status
+
+    def test_failed_write_exits_1_with_one_error_line(self, tmp_path):
+        # As on a full disk.
+        err = io.StringIO()
+        assert self.failing_stdout_main(tmp_path, ["h", "5"], err) == 1
         assert err.getvalue() == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("code", [None, errno.EBADF, errno.ENOSPC])
+    @pytest.mark.parametrize("argv, status", [(["h", "2"], 2), (["h", "5"], 1),
+                                              (["verify", "--tmin", "2", "--tmax", "2"], 2)])
+    def test_closed_or_full_stderr_keeps_the_status(self, tmp_path, argv, status, code):
+        # stderr missing (None, as when fd 2 is closed at start), closed
+        # (EBADF) or full (ENOSPC): bad input still exits 2 and a failed
+        # stdout write 1.  No exception escapes main, and nothing is written
+        # to stdout, whose fake has no write method.
+        stderr = None if code is None else types.SimpleNamespace(write=self.failing(code))
+        assert self.failing_stdout_main(tmp_path, argv, stderr) == status
+
+    def test_closed_stderr_exits_2_without_output(self):
+        # Started with fd 2 closed (`2>&-`), Python sets sys.stderr to None,
+        # and print(file=None) would write the error line to stdout.
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m braidforms.cli h 2 2>&-', sys.executable],
+                              stdout=subprocess.PIPE, env=self.child_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 # --- golden outputs ---------------------------------------------------------

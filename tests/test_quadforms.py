@@ -154,11 +154,11 @@ class TestReduce:
         assert set(key.cycle) == {(1, 1, -1), (-1, 1, 1)}
 
     def test_rejects_square_and_zero_disc(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^square discriminant 1 is not supported$"):
             reduce(QForm(2, 3, 1))  # disc 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero discriminant is not supported$"):
             reduce(QForm(1, 2, 1))  # disc 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^square discriminant 9 is not supported$"):
             reduce(QForm(0, 3, 0))  # disc 9
 
     def test_step_guard_names_sizes_not_values(self, monkeypatch):
@@ -228,6 +228,15 @@ class TestEquivalent:
 
     def test_different_discriminants(self):
         assert not equivalent(QForm(1, 0, 1), QForm(1, 1, -1))
+        assert not equivalent(QForm(1, 3, -1), QForm(1, 1, -1))  # 13 and 5
+        # A zero or square discriminant on either side raises reduce's error;
+        # with both sides invalid, the first side's message wins.
+        zero = (QForm(1, 2, 1), "^zero discriminant is not supported$")
+        square = (QForm(0, 3, 0), "^square discriminant 9 is not supported$")
+        for (bad, message), other in [(zero, square), (square, zero)]:
+            for pair in [(bad, QForm(1, 0, 1)), (QForm(1, 3, -1), bad), (bad, other[0])]:
+                with pytest.raises(ValueError, match=message):
+                    equivalent(*pair)
 
 
 class TestEnumerateClasses:
