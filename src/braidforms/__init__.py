@@ -10,24 +10,29 @@ generator decomposition, form reduction and class enumeration, and the
 exceptional-fiber bookkeeping of the braid closure map.
 """
 
-from .braid3 import (BraidParseError, BraidWord, BurauMat, alexander, burau,
-                     exponent_sum, garside_power, jones, phi, special_value,
-                     trace_b3)
-from .birman_menasco import (ExceptionalWitness, class_excess,
-                             family_iii_trace_exp, family_iv_trace_exp,
-                             shared_closure_count, witnesses)
-from .counts import (ClassWithExponent, CountsRow, LinkCountError,
-                     MainIdentityReport, SymmetryReport, braid_census,
-                     check_main_identity, check_window_symmetry, class_count,
-                     counts_row, link_count, trace_classes)
-from .laurent import (GaussInt, HalfLaurent, NonDivisibleError, monomial_pow)
-from .quadforms import (FormClassKey, QForm, act, class_number,
-                        enumerate_classes, equivalent, form_of_matrix,
-                        is_conjugate, matrix_of_form, reduce)
-from .sl2z import Mat2Z, decompose_st, exponent_mod12, st_product
-
 __version__ = "1.0.0"
 
-# The public API is every class and function that the imports above bind.
-__all__ = sorted(name for name, value in globals().items()
-                 if getattr(value, "__module__", "").startswith(__name__ + "."))
+#: Each module's public names; a name loads its module on first use (PEP 562).
+_EXPORTS = {
+    "birman_menasco": ("ExceptionalWitness", "class_excess", "family_iii_trace_exp",
+                       "family_iv_trace_exp", "shared_closure_count", "witnesses"),
+    "braid3": ("BraidParseError", "BraidWord", "BurauMat", "alexander", "burau",
+               "exponent_sum", "garside_power", "jones", "phi", "special_value", "trace_b3"),
+    "counts": ("ClassWithExponent", "CountsRow", "LinkCountError", "MainIdentityReport",
+               "SymmetryReport", "braid_census", "check_main_identity",
+               "check_window_symmetry", "class_count", "counts_row", "link_count",
+               "trace_classes"),
+    "laurent": ("GaussInt", "HalfLaurent", "NonDivisibleError", "monomial_pow"),
+    "quadforms": ("FormClassKey", "QForm", "act", "class_number", "enumerate_classes",
+                  "equivalent", "form_of_matrix", "is_conjugate", "matrix_of_form", "reduce"),
+    "sl2z": ("Mat2Z", "decompose_st", "exponent_mod12", "st_product"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -26,7 +26,7 @@ from .laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent, NEG_INV_SQRT_Q,
                       NEG_Q, ONE, SQRT_Q, dense_add, i_power, monomial_pow)
 
 #: Letters are +-1 and +-2: the generator index, negated for inverses.
-VALID_LETTERS = (1, -1, 2, -2)
+VALID_LETTERS = tuple(sl2z.LETTERS)
 
 
 class BraidParseError(ValueError):
@@ -84,8 +84,8 @@ class BraidWord(_value.Value, defaults=((),)):
 
     @cached_property
     def _phi(self) -> sl2z.Mat2Z:
-        return sl2z.st_product([("S" if letter in (1, -1) else "T", n if letter > 0 else -n)
-                                for letter, n in self._runs])
+        return sl2z.st_product([(gen, p * n) for letter, n in self._runs
+                                for gen, p in [sl2z.LETTERS[letter]]])
 
     def syllables(self) -> list[tuple[int, int]]:
         """The maximal runs of one letter, as (letter, count) pairs."""
@@ -248,8 +248,8 @@ def _burau_product(runs: tuple[tuple[int, int], ...]) -> BurauMat:
 def phi(w: BraidWord) -> sl2z.Mat2Z:
     """The integer matrix image of w under s1 -> S, s2 -> T, one syllable at a time.
 
-    Each run is one S or T power of sl2z.st_product.  It is taken once per
-    word and kept on the word.
+    Each run is one S or T power of sl2z.LETTERS, folded by sl2z.st_product.
+    It is taken once per word and kept on the word.
     """
     return w._phi
 

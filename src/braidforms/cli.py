@@ -15,7 +15,7 @@ import os
 import sys
 from functools import cache
 
-from . import _value, birman_menasco, braid3, counts, quadforms
+from . import _value, counts, quadforms
 
 SCHEMA = "bqf-braid/1"
 
@@ -84,6 +84,7 @@ def _cmd_classes(args: argparse.Namespace) -> Record:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> Record:
+    from . import braid3
     # The word's size is read from its tokens and K, before any letter
     # list is built; D^K adds 3|K| letters and about 2|K| syllables.
     syllables = braid3.parse_syllables(args.word)
@@ -119,6 +120,7 @@ def _cmd_counts(args: argparse.Namespace) -> Record:
 
 
 def _cmd_m(args: argparse.Namespace) -> Record:
+    from . import birman_menasco
     # One solve of the cell: m counts every witness, m_prime the family ones.
     wits = birman_menasco.witnesses(args.t, args.n)
     m_prime = sum(w.family in ("family-iii", "family-iv") for w in wits)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from . import _value, birman_menasco, braid3, quadforms
+from . import _value, quadforms, sl2z
 from .quadforms import FormClassKey, QForm
 
 
@@ -70,6 +70,7 @@ def class_count(t: int, n: int) -> int:
 
 
 def _row(t: int, n: int, x: int) -> CountsRow:
+    from . import birman_menasco  # loaded only by the commands that count fibers
     m = birman_menasco.class_excess(t, n)
     if x - m < 0:
         raise LinkCountError(t, n, x, m)
@@ -130,10 +131,9 @@ def check_window_symmetry(t: int, n: int) -> SymmetryReport:
 
 # --- braid census ------------------------------------------------------
 
-# Right multiplication by each letter: its matrix image and exponent.
-_STEPS = tuple(((m.a, m.b, m.c, m.d), braid3.exponent_sum(w))
-               for w in (braid3.BraidWord((letter,)) for letter in braid3.VALID_LETTERS)
-               for m in [braid3.phi(w)])
+# Right multiplication by each braid letter: its matrix image and exponent.
+_STEPS = tuple(((m.a, m.b, m.c, m.d), p) for gen, p in sl2z.LETTERS.values()
+               for m in [sl2z.st_product([(gen, p)])])
 
 
 def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[int, int], int]:
@@ -150,9 +150,13 @@ def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[in
     reach no tracked cell and is dropped; each prefix of a geodesic to a
     tracked state lies within that distance, so no tracked state is
     lost.  The deepest level is streamed into the cells, never stored.
-    Each recorded state's form is reduced to its class key at once, and
-    each cell keeps its distinct keys.  Only cells with t in traces and n
-    in exponents (ranges of step 1), t != +-2, are tracked.
+    Conjugation by D = s1 s2 s1 (phi(D) = [[0, 1], [-1, 0]]) maps a state to
+    (d, -c, -b, a, eps), of the same t, eps and class key; it permutes the
+    letters, so each level is closed under it and keeps the least of each
+    pair, and previous and the parity argument hold.  Each recorded state's
+    form is reduced to its class key at once, and each cell keeps its
+    distinct keys.  Only cells with t in traces and n in exponents (ranges
+    of step 1), t != +-2, are tracked.
     """
     cells: dict[tuple[int, int], set[FormClassKey]] = {}
 
@@ -162,7 +166,8 @@ def census_table(max_len: int, traces: range, exponents: range) -> dict[tuple[in
         for a, b, c, d, eps in level:
             for (e, f, g, h), step in _STEPS:
                 if low <= eps + step <= high:
-                    state = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, eps + step)
+                    w, x, y, z = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+                    state = min((w, x, y, z, eps + step), (z, -y, -x, w, eps + step))
                     if state not in previous:
                         yield state
 

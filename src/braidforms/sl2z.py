@@ -49,6 +49,9 @@ IDENTITY = Mat2Z(1, 0, 0, 1)
 S = Mat2Z(1, 1, 0, 1)
 T = Mat2Z(1, 0, -1, 1)
 
+#: The letter map of B3 onto SL2(Z): each braid letter +-1, +-2 as its S/T power.
+LETTERS = {1: ("S", 1), -1: ("S", -1), 2: ("T", 1), -2: ("T", -1)}
+
 
 def st_product(word: STWord) -> Mat2Z:
     """Multiply out an S/T word, left to right, in four integers.

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from braidforms import birman_menasco, quadforms, sl2z
-from braidforms.braid3 import alexander, exponent_sum, jones, phi, special_value
-from braidforms.counts import (CountsRow, LinkCountError, braid_census,
+from braidforms.braid3 import BraidWord, alexander, exponent_sum, jones, phi, special_value
+from braidforms.counts import (_STEPS, CountsRow, LinkCountError, braid_census,
                                census_table, check_main_identity,
                                check_window_symmetry, class_count, counts_row,
                                default_sweep_exponent, link_count,
@@ -324,6 +324,19 @@ class TestCensus:
         for t in CENSUS_TRACES:
             for n in range(1, 9):
                 assert braid_census(t, n, 11) == braid_census(t, -n, 11), (t, n)
+
+    def test_delta_conjugation_permutes_the_steps(self):
+        # The walk keeps one state of each pair (a, b, c, d, eps), (d, -c, -b, a, eps):
+        # conjugation by phi(D) = [[0, 1], [-1, 0]] maps each letter's step to another
+        # letter's step of the same exponent.
+        delta = phi(BraidWord((1, 2, 1)))
+        assert delta.as_rows() == [[0, 1], [-1, 0]]
+        steps = dict(_STEPS)
+        images = {}
+        for (a, b, c, d), eps in _STEPS:
+            assert delta * sl2z.Mat2Z(a, b, c, d) * delta.inverse() == sl2z.Mat2Z(d, -c, -b, a)
+            images[d, -c, -b, a] = eps
+        assert len(steps) == 4 and images == steps
 
     def test_returned_table_is_not_shared(self):
         census_table(6, *box(8, 8)).clear()

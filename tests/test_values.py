@@ -160,10 +160,24 @@ def test_word_with_cached_images_keeps_its_value_contract():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S leaves out site hooks, which may import any of these modules themselves.
     # json and csv are imported by the output formats that use them.
-    probe = ("import sys, braidforms.cli; "
-             "print(sorted({'csv', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+
+    def loaded(code: str) -> list[str]:
+        """The package and the four modules above that a fresh interpreter has after code."""
+        probe = (f"import sys\n{code}\nprint(sorted(name for name in sys.modules if name in "
+                 "{'csv', 'dataclasses', 'inspect', 'json'} or name.startswith('braidforms')))")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        return proc.stdout.splitlines()[-1]
+
+    # A name of the package loads its module on first use; census, h and the
+    # other form commands load no Burau, Laurent or fiber module.
+    forms_side = str(["braidforms", *(f"braidforms.{name}" for name in
+                                      ("_value", "cli", "counts", "quadforms", "sl2z"))])
+    assert loaded("import braidforms") == "['braidforms']"
+    assert loaded("import braidforms.cli") == forms_side
+    for argv in (["census", "3", "0", "--max-len", "5"], ["h", "5"]):
+        assert loaded(f"import braidforms.cli\nbraidforms.cli.main({argv!r})") == forms_side
+    invariants = loaded("import braidforms.cli\nbraidforms.cli.main(['invariants', '1 2'])")
+    assert "'braidforms.braid3'" in invariants and "'braidforms.laurent'" in invariants
