@@ -27,18 +27,19 @@ from __future__ import annotations
 import math
 from itertools import count
 
-from . import _value, braid3, quadforms
-from .braid3 import BraidWord
+from . import _value, quadforms  # braid3 and laurent load only where a braid word is built
 
 
-def family_iii_word(u: int, v: int, w: int, k: int) -> BraidWord:
+def family_iii_word(u: int, v: int, w: int, k: int) -> braid3.BraidWord:
     """D^2k s1^-1 s2^u s1^-v s2^w."""
-    return braid3.garside_power(2 * k) * BraidWord.parse(f"-1 2^{u} 1^{-v} 2^{w}")
+    from . import braid3
+    return braid3.garside_power(2 * k) * braid3.BraidWord.parse(f"-1 2^{u} 1^{-v} 2^{w}")
 
 
-def family_iv_word(u: int, v: int, w: int, k: int) -> BraidWord:
+def family_iv_word(u: int, v: int, w: int, k: int) -> braid3.BraidWord:
     """D^2k s1^-1 s2^u s1^-1 s2^v s1^-1 s2^w."""
-    return braid3.garside_power(2 * k) * BraidWord.parse(f"-1 2^{u} -1 2^{v} -1 2^{w}")
+    from . import braid3
+    return braid3.garside_power(2 * k) * braid3.BraidWord.parse(f"-1 2^{u} -1 2^{v} -1 2^{w}")
 
 
 def family_iii_trace_exp(u: int, v: int, w: int, k: int) -> tuple[int, int]:
@@ -149,25 +150,23 @@ class ExceptionalWitness(_value.Value):
                 "words": [w.render() for w in self.words]}
 
 
-def _make_witness(family: str, params: tuple[int, ...],
-                  words: tuple[BraidWord, ...]) -> ExceptionalWitness:
-    values = {(braid3.trace_b3(w), braid3.exponent_sum(w)) for w in words}
-    if len(values) != 1:
-        raise AssertionError(f"witness words disagree on (trace, exponent): {values}")
-    (t, n), = values
-    return ExceptionalWitness(family, params, words, t, n)
-
-
 def witnesses(t: int, n: int) -> list[ExceptionalWitness]:
-    """Explicit braid words behind every unit counted in class_excess(t, n)."""
-    out = []
+    """Explicit braid words behind every unit counted in class_excess(t, n).
+
+    A word that does not close in cell (t, n) raises AssertionError.
+    """
+    from . import braid3
+    fibers = []
     for family, (u, v, w, k) in _family_solutions(t, n):
         words = ((family_iii_word(u, v, w, k), family_iii_word(w, v, u, k)) if family == "iii"
                  else (family_iv_word(u, v, w, k), family_iv_word(u, w, v, k)))
-        out.append(_make_witness("family-" + family, (u, v, w, k), words))
+        fibers.append(("family-" + family, (u, v, w, k), words))
     if _low_index_bonus(t, n):
         k, last = (t - 2, -2) if n == t - 3 else (2 - t, 2)
-        word = BraidWord.parse(f"1^{k} {last}")
-        family, params = ("unknot", ()) if abs(k) == 1 else ("torus", (k,))
-        out.append(_make_witness(family, params, (word,)))
-    return out
+        word = braid3.BraidWord.parse(f"1^{k} {last}")
+        fibers.append(("unknot", (), (word,)) if abs(k) == 1 else ("torus", (k,), (word,)))
+    for family, params, words in fibers:
+        for word in words:
+            if (braid3.trace_b3(word), braid3.exponent_sum(word)) != (t, n):
+                raise AssertionError(f"{family} word {word.render()} lies outside cell ({t}, {n})")
+    return [ExceptionalWitness(family, params, words, t, n) for family, params, words in fibers]

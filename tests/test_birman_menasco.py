@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from braidforms import braid3, counts, quadforms
+from braidforms import birman_menasco, braid3, counts, quadforms
 from braidforms.birman_menasco import (_family_solutions, class_excess,
                                        family_iii_trace_exp, family_iii_word,
                                        family_iv_trace_exp, family_iv_word,
@@ -255,6 +255,14 @@ class TestWitnesses:
                 assert (wit.trace, wit.exponent) == (t, n)
                 for word in wit.words:
                     assert direct(word) == (t, n)
+
+    def test_word_outside_its_cell_raises(self, monkeypatch):
+        # Cell (21, 1) handed the family-iii set of cell (20, 1): both words
+        # agree with each other, but not with the cell asked for.
+        monkeypatch.setattr(birman_menasco, "_family_solutions",
+                            lambda t, n: [("iii", (1, 2, 3, 0))])
+        with pytest.raises(AssertionError, match=r"outside cell \(21, 1\)"):
+            witnesses(21, 1)
 
     def test_fiber_pairs_have_two_words(self):
         (wit,) = [w for w in witnesses(20, 1) if w.family == "family-iii"]

@@ -172,12 +172,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         return proc.stdout.splitlines()[-1].split()
 
     # A name of the package loads its module on first use; census, h and the
-    # other form commands load no Burau, Laurent or fiber module.
+    # other form commands load no Burau, Laurent or fiber module, counts and
+    # verify add only the fiber counts, and m adds the Burau and Laurent
+    # layers to build its witness words.
     forms_side = ["braidforms", *(f"braidforms.{name}" for name in
                                   ("_value", "cli", "counts", "quadforms", "sl2z"))]
+    fibers = sorted([*forms_side, "braidforms.birman_menasco"])
     assert loaded("import braidforms") == ["braidforms"]
     assert loaded("import braidforms.cli") == forms_side
-    for argv in (["census", "3", "0", "--max-len", "5"], ["h", "5"]):
-        assert loaded(f"import braidforms.cli\nbraidforms.cli.main({argv!r})") == forms_side
+    for argv, expected in ((["census", "3", "0", "--max-len", "5"], forms_side),
+                           (["h", "5"], forms_side),
+                           (["counts", "3", "0"], fibers),
+                           (["verify", "--tmin", "3", "--tmax", "5"], fibers),
+                           (["m", "20", "1"], sorted([*fibers, "braidforms.braid3",
+                                                      "braidforms.laurent"]))):
+        assert loaded(f"import braidforms.cli\nbraidforms.cli.main({argv!r})") == expected, argv
     invariants = loaded("import braidforms.cli\nbraidforms.cli.main(['invariants', '1 2'])")
     assert {"braidforms.braid3", "braidforms.laurent"} <= set(invariants)
