@@ -2,9 +2,9 @@
 
 Subcommands: h, forms, classes, invariants, counts, m, census, verify.
 Each returns one Record, which main renders as text, JSON or CSV; every JSON document carries
-the top-level key "schema": "bqf-braid/1".  Exit status, the same with stderr closed or full,
-is 0 on success, 1 if a verification cell fails, stdout is missing or closed early (`>&-`,
-`| head`) or a write fails (one error line), 2 for bad input.
+the top-level key "schema": "bqf-braid/1".  Exit status, the same with stderr closed or full, is 0
+on success, 1 if a verification cell fails, stdout is missing or closed early (`>&-`, `| head`),
+or a write fails or the package detects a defect in itself (one error line), 2 for bad input.
 """
 
 from __future__ import annotations
@@ -259,6 +259,9 @@ def _write_stdout(text: str) -> None:
 def _fail(exc: Exception, status: int) -> int:
     with contextlib.suppress(AttributeError, OSError):  # no stderr, or a closed or full one
         sys.stderr.write(f"error: {exc}\n")
+        return status
+    with contextlib.suppress(AttributeError, OSError):  # devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     return status
 
 
@@ -269,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         record = COMMANDS[args.command][0](args)
     except (ValueError, counts.LinkCountError) as exc:
         return _fail(exc, 2)
+    except AssertionError as exc:  # a defect the package detected in itself
+        return _fail(exc, 1)
     if sys.stdout is None:  # fd 1 was closed at start: no reader, as after `| head`
         return 1
     try:

@@ -7,7 +7,6 @@ import io
 import json
 import os
 import shlex
-import subprocess
 import sys
 import tracemalloc
 import types
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 from braidforms import birman_menasco, braid3, counts, quadforms, sl2z
 from braidforms.cli import (MAX_ABS_T, MAX_CENSUS_LEN, MAX_VERIFY_ABS_T_SUM,
                             MAX_WORD_COST, MAX_WORD_LETTERS, build_parser, main)
+import cli_contract
 from oracles import SRC
 
 
@@ -200,6 +200,13 @@ class TestM:
         assert code == 0 and out.startswith("t=20 n=1 m_prime=1 m=1\n")
         assert calls == [(20, 1)]
 
+    def test_word_outside_its_cell_exits_1_with_one_error_line(self, capsys, monkeypatch):
+        # Cell (21, 1) handed the family-iii set of cell (20, 1): a defect, not bad input.
+        monkeypatch.setattr(birman_menasco, "_family_solutions", lambda t, n: [("iii", (1, 2, 3, 0))])
+        code, out, err = run(capsys, "m", "21", "1")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: ") and "(21, 1)" in err
+
 
 class TestCensus:
     def test_small_cell(self, capsys):
@@ -365,6 +372,17 @@ class TestLimits:
         monkeypatch.setattr(counts, "braid_census", lambda t, n, max_len: 0)
         code, out, _ = run(capsys, "census", "3", "0", "--max-len", str(MAX_CENSUS_LEN))
         assert code == 0 and out == "t=3 n=0 max_len=16 census=0 x_count=1 gap=1\n"
+
+    def test_contract_limit_rows_sit_at_the_limits(self):
+        # No limit moves without the row that times it in CI.
+        census, classes, invariants, verify = (shlex.split(r.args) for r in cli_contract.LIMIT_ROWS)
+        assert census[:5] == ["census", str(MAX_ABS_T), "0", "--max-len", str(MAX_CENSUS_LEN)]
+        assert classes[:2] == ["classes", str(-MAX_ABS_T)]
+        assert verify[:5] == ["verify", "--tmin", "3", "--tmax", "2448"]
+        assert sum(range(3, 2449)) <= MAX_VERIFY_ABS_T_SUM < sum(range(3, 2450))
+        syllables = braid3.parse_syllables(invariants[1])
+        letters = sum(count for _, count in syllables)
+        assert (letters, len(syllables) * letters) == (MAX_WORD_LETTERS, MAX_WORD_COST)
 
 
 def run_in_process(argv) -> tuple[int, str, str]:
@@ -546,36 +564,11 @@ class TestMainCalls:
         assert out.splitlines() == ["t=3 n=-24 h=1 window=1 pass",
                                     "t=4 n=-25 h=2 window=2 pass", "all pass"]
 
-    @staticmethod
-    def child_env(unbuffered=None) -> dict[str, str]:
-        """The environment of a child that imports braidforms from this tree."""
-        env = {key: value for key, value in os.environ.items()
-               if key != "PYTHONUNBUFFERED"}
-        if unbuffered is not None:
-            env["PYTHONUNBUFFERED"] = unbuffered
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        return env
-
-    @pytest.mark.parametrize("unbuffered", [None, "1"])
-    def test_closed_pipe_exits_1_without_traceback(self, unbuffered):
-        # 600 kB of forms cannot fit in a pipe buffer, so the writer is
-        # still writing when the reader goes away.  Unbuffered, a write to
-        # the pipe can take part of the bytes without an error.
-        proc = subprocess.Popen([sys.executable, "-m", "braidforms.cli", "forms", "20000"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=self.child_env(unbuffered))
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
-        assert first == b"-19998 19998 1\n" and err == b""
-
-    def test_closed_stdout_exits_1_without_traceback(self):
-        # Started with fd 1 closed (`>&-`), Python sets sys.stdout to None.
-        proc = subprocess.run(["sh", "-c", 'exec "$0" -m braidforms.cli h 5 >&-', sys.executable],
-                              stderr=subprocess.PIPE, env=self.child_env(), timeout=60)
-        assert (proc.returncode, proc.stderr) == (1, b"")
+    @pytest.mark.parametrize("row", cli_contract.STREAM_ROWS,
+                             ids=lambda row: row.shell.format(row.args))
+    def test_closed_stream_row(self, row):
+        command = [sys.executable, "-m", "braidforms.cli"]
+        assert cli_contract.run_row(command, row, cli_contract.contract_env(SRC))[0] is None
 
     @staticmethod
     def failing(code):
@@ -619,13 +612,6 @@ class TestMainCalls:
         # to stdout, whose fake has no write method.
         stderr = None if code is None else types.SimpleNamespace(write=self.failing(code))
         assert self.failing_stdout_main(tmp_path, argv, stderr) == status
-
-    def test_closed_stderr_exits_2_without_output(self):
-        # Started with fd 2 closed (`2>&-`), Python sets sys.stderr to None,
-        # and print(file=None) would write the error line to stdout.
-        proc = subprocess.run(["sh", "-c", 'exec "$0" -m braidforms.cli h 2 2>&-', sys.executable],
-                              stdout=subprocess.PIPE, env=self.child_env(), timeout=60)
-        assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 # --- golden outputs ---------------------------------------------------------

@@ -7,10 +7,7 @@ deletion, and survives copy, deepcopy and pickle.
 """
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +17,7 @@ from braidforms import (BraidWord, BurauMat, ClassWithExponent, CountsRow,
                         MainIdentityReport, Mat2Z, QForm, SymmetryReport, braid3)
 from braidforms.cli import Record
 from braidforms.laurent import HalfLaurent
+import cli_contract
 from oracles import SRC
 
 KEY = FormClassKey(5, (-1, 1, 1), ((-1, 1, 1), (1, 1, -1)))
@@ -157,35 +155,7 @@ def test_word_with_cached_images_keeps_its_value_contract():
         assert braid3.burau(result) == image and braid3.phi(result) == matrix
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S leaves out site hooks, which may import any of these modules themselves.
-    # json and csv are imported by the output formats that use them.
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-
-    def loaded(code: str) -> list[str]:
-        """The package's modules, and any of the four above, in a fresh interpreter after code."""
-        probe = (f"import sys\n{code}\nprint(*sorted(name for name in sys.modules if name in "
-                 "{'csv', 'dataclasses', 'inspect', 'json'} or name.startswith('braidforms')))")
-        proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        return proc.stdout.splitlines()[-1].split()
-
-    # A name of the package loads its module on first use; census, h and the
-    # other form commands load no Burau, Laurent or fiber module, counts and
-    # verify add only the fiber counts, and m adds the Burau and Laurent
-    # layers to build its witness words.
-    forms_side = ["braidforms", *(f"braidforms.{name}" for name in
-                                  ("_value", "cli", "counts", "quadforms", "sl2z"))]
-    fibers = sorted([*forms_side, "braidforms.birman_menasco"])
-    assert loaded("import braidforms") == ["braidforms"]
-    assert loaded("import braidforms.cli") == forms_side
-    for argv, expected in ((["census", "3", "0", "--max-len", "5"], forms_side),
-                           (["h", "5"], forms_side),
-                           (["counts", "3", "0"], fibers),
-                           (["verify", "--tmin", "3", "--tmax", "5"], fibers),
-                           (["m", "20", "1"], sorted([*fibers, "braidforms.braid3",
-                                                      "braidforms.laurent"]))):
-        assert loaded(f"import braidforms.cli\nbraidforms.cli.main({argv!r})") == expected, argv
-    invariants = loaded("import braidforms.cli\nbraidforms.cli.main(['invariants', '1 2'])")
-    assert {"braidforms.braid3", "braidforms.laurent"} <= set(invariants)
+@pytest.mark.parametrize("args", cli_contract.MODULE_SETS)
+def test_cli_loads_only_its_modules(args):
+    loaded = cli_contract.loaded_modules(args, cli_contract.contract_env(SRC))
+    assert loaded == cli_contract.MODULE_SETS[args]
