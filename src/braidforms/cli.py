@@ -15,7 +15,7 @@ import os
 import sys
 from functools import cache
 
-from . import _value, counts, quadforms
+from . import _value
 
 SCHEMA = "bqf-braid/1"
 
@@ -58,12 +58,14 @@ def _cell(fields: dict, *lines: str, **extra) -> Record:
 
 
 def _cmd_h(args: argparse.Namespace) -> Record:
+    from . import quadforms
     value = quadforms.class_number(args.t)
     return Record({"t": args.t, "h": value}, ["t", "h"], [[args.t, value]],
                   [str(value)])
 
 
 def _cmd_forms(args: argparse.Namespace) -> Record:
+    from . import quadforms
     forms = sorted(form for key in quadforms.enumerate_classes(args.t)
                    for form in key.cycle or [key.rep])
     rows = [list(f) for f in forms]
@@ -72,6 +74,7 @@ def _cmd_forms(args: argparse.Namespace) -> Record:
 
 
 def _cmd_classes(args: argparse.Namespace) -> Record:
+    from . import counts
     classes = counts.trace_classes(args.t)
     return Record(
         {"t": args.t, "h": len(classes),
@@ -116,6 +119,7 @@ def _cmd_invariants(args: argparse.Namespace) -> Record:
 
 
 def _cmd_counts(args: argparse.Namespace) -> Record:
+    from . import counts
     return _cell(counts.counts_row(args.t, args.n).to_json())
 
 
@@ -132,6 +136,7 @@ def _cmd_m(args: argparse.Namespace) -> Record:
 
 
 def _cmd_census(args: argparse.Namespace) -> Record:
+    from . import counts
     if args.max_len > MAX_CENSUS_LEN:
         raise ValueError(f"--max-len {args.max_len} exceeds the limit {MAX_CENSUS_LEN}")
     lower = counts.braid_census(args.t, args.n, args.max_len)
@@ -141,6 +146,7 @@ def _cmd_census(args: argparse.Namespace) -> Record:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Record:
+    from . import counts
     if args.tmin > args.tmax:
         raise ValueError("empty t range")
     total = sum(map(abs, range(args.tmin, args.tmax + 1)))
@@ -270,7 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_limits(args)
         record = COMMANDS[args.command][0](args)
-    except (ValueError, counts.LinkCountError) as exc:
+    except (ValueError, getattr(sys.modules.get(f"{__package__}.counts"),
+                                "LinkCountError", ValueError)) as exc:
+        # Bad input; only a loaded counts raises LinkCountError, so it is looked up, not imported.
         return _fail(exc, 2)
     except AssertionError as exc:  # a defect the package detected in itself
         return _fail(exc, 1)

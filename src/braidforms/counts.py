@@ -69,16 +69,15 @@ def class_count(t: int, n: int) -> int:
     return sum(1 for cls in trace_classes(t) if cls.residue == residue)
 
 
-def _row(t: int, n: int, x: int) -> CountsRow:
-    from . import birman_menasco  # loaded only by the commands that count fibers
-    m = birman_menasco.class_excess(t, n)
+def _row(t: int, n: int, x: int, m: int) -> CountsRow:
     if x - m < 0:
         raise LinkCountError(t, n, x, m)
     return CountsRow(t, n, x, m, x - m)
 
 
 def counts_row(t: int, n: int) -> CountsRow:
-    return _row(t, n, class_count(t, n))
+    from . import birman_menasco  # loaded only by the commands that count fibers
+    return _row(t, n, class_count(t, n), birman_menasco.class_excess(t, n))
 
 
 def link_count(t: int, n: int) -> int:
@@ -105,9 +104,11 @@ class MainIdentityReport(_value.Value):
 
 def check_main_identity(t: int, n: int) -> MainIdentityReport:
     """Evaluate the identity at (t, n); inequality is reported, not raised."""
+    from . import birman_menasco
     keys, residues = quadforms._residues(t)
     tally = Counter(residues.values())
-    rows = tuple(_row(t, n + j, tally[(n + j) % 12]) for j in range(12))
+    rows = tuple(_row(t, n + j, tally[(n + j) % 12], birman_menasco.class_excess(t, n + j))
+                 for j in range(12))
     total = sum(r.p + r.m for r in rows)
     return MainIdentityReport(t, n, len(keys), total, rows, len(keys) == total)
 

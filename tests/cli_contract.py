@@ -55,17 +55,20 @@ REDUCTION = Row("-c " + shlex.quote(
     "print(reduce(act(st_product([('S', 1), ('T', -1)] * 16000), QForm(1, 3, -1))).cycle)"),
     "{}", 0, "", "((-1, 3, 1), (1, 3, -1))\n", 10)
 
-_FORMS = "_value cli counts quadforms sl2z"
-_FIBERS, _WORDS = _FORMS + " birman_menasco", " braid3 laurent"
+_CLI, _FORMS = "_value cli", " quadforms sl2z"
+_COUNTS, _WORDS = _CLI + _FORMS + " counts", _CLI + " braid3 laurent sl2z"
+_FIBERS = _COUNTS + " birman_menasco"
 #: Arguments of braidforms.cli.main ("" only imports braidforms.cli, None only braidforms) ->
 #: the modules a fresh -S interpreter then holds.  No entry holds csv, dataclasses, inspect
 #: or json: the CSV and JSON formats import their module when used.
-MODULE_SETS = {args: ["braidforms", *sorted(f"braidforms.{name}" for name in names.split())]
+MODULE_SETS = {args: ["braidforms", *sorted({f"braidforms.{name}" for name in names.split()})]
                for args, names in {
-                   None: "", "": _FORMS, "h 5": _FORMS, "census 3 0": _FORMS,
-                   "census 3 0 --max-len 5": _FORMS, "invariants '1 2'": _FORMS + _WORDS,
-                   "counts 3 0": _FIBERS, "verify --tmin 3 --tmax 5": _FIBERS,
-                   "m 20 1": _FIBERS + _WORDS}.items()}
+                   None: "", "": _CLI, "h 5": _CLI + _FORMS, "forms 5": _CLI + _FORMS,
+                   "classes 5": _COUNTS, "census 3 0": _COUNTS,
+                   "census 3 0 --max-len 5": _COUNTS, "invariants '1 2'": _WORDS,
+                   "invariants 3": _WORDS, "counts 3 0": _FIBERS,
+                   "verify --tmin 3 --tmax 5": _FIBERS,
+                   "m 20 1": _WORDS + _FORMS + " birman_menasco"}.items()}
 
 
 def contract_env(path) -> dict[str, str]:
@@ -113,9 +116,12 @@ def main(command: list[str]) -> int:
     env = contract_env(os.path.dirname(os.path.dirname(braidforms.__file__)))
     failed = False
     for args, expected in MODULE_SETS.items():
+        start = time.perf_counter()
         loaded = loaded_modules(args, env)
+        seconds = time.perf_counter() - start
         failed |= loaded != expected
-        print("ok  " if loaded == expected else f"FAIL {loaded}:", "modules after", repr(args))
+        print("ok  " if loaded == expected else f"FAIL {loaded}:",
+              f"{seconds:5.3f} s modules after {args!r}")
     for prefix, row in [(command, row) for row in ROWS] + [([sys.executable], REDUCTION)]:
         failure, seconds, peak = run_row(prefix, row, env)
         failed |= failure is not None

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -550,6 +551,19 @@ class TestLinkCountFailure:
         monkeypatch.setattr(birman_menasco, "class_excess", lambda t, n: 2)
         assert run(capsys, "counts", "3", "0") == (
             2, "", "error: cell (t=3, n=0): correction m=2 exceeds class count 1\n")
+
+    @pytest.mark.parametrize("args, n", [("counts 3 0", 0), ("verify --tmin 3 --tmax 3", -24)])
+    def test_exits_2_when_the_command_first_loads_counts(self, args, n):
+        # In a fresh interpreter counts is first imported by the handler,
+        # so main must find LinkCountError after the handler has run.
+        probe = ("import sys, braidforms.birman_menasco as bm, braidforms.cli as cli\n"
+                 "bm.class_excess = lambda t, n: 5\n"
+                 "assert 'braidforms.counts' not in sys.modules\n"
+                 f"sys.exit(cli.main({shlex.split(args)!r}))")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, env=cli_contract.contract_env(SRC), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cell (t=3, n={n}): correction m=5 exceeds class count 1\n"
 
 
 class TestMainCalls:
