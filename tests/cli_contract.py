@@ -1,7 +1,8 @@
 """The process-level contract of the braidforms command, as one table.
 
 Run it against the installed command, or against this tree; it prints one
-line per check, with each row's time and peak RSS, and exits 1 if any fails:
+line per check, with each row's time and peak RSS and each module-set probe's
+time, and exits 1 if any fails:
 
     python tests/cli_contract.py braidforms
     PYTHONPATH=src python tests/cli_contract.py python -m braidforms.cli
@@ -55,20 +56,20 @@ REDUCTION = Row("-c " + shlex.quote(
     "print(reduce(act(st_product([('S', 1), ('T', -1)] * 16000), QForm(1, 3, -1))).cycle)"),
     "{}", 0, "", "((-1, 3, 1), (1, 3, -1))\n", 10)
 
-_CLI, _FORMS = "_value cli", " quadforms sl2z"
-_COUNTS, _WORDS = _CLI + _FORMS + " counts", _CLI + " braid3 laurent sl2z"
+_CLI = "_value cli"
+_FORMS, _WORDS = _CLI + " quadforms sl2z", _CLI + " braid3 laurent sl2z"
+_COUNTS = _FORMS + " counts"
 _FIBERS = _COUNTS + " birman_menasco"
 #: Arguments of braidforms.cli.main ("" only imports braidforms.cli, None only braidforms) ->
 #: the modules a fresh -S interpreter then holds.  No entry holds csv, dataclasses, inspect
 #: or json: the CSV and JSON formats import their module when used.
-MODULE_SETS = {args: ["braidforms", *sorted({f"braidforms.{name}" for name in names.split()})]
+MODULE_SETS = {args: ["braidforms", *sorted(f"braidforms.{name}" for name in names.split())]
                for args, names in {
-                   None: "", "": _CLI, "h 5": _CLI + _FORMS, "forms 5": _CLI + _FORMS,
-                   "classes 5": _COUNTS, "census 3 0": _COUNTS,
-                   "census 3 0 --max-len 5": _COUNTS, "invariants '1 2'": _WORDS,
-                   "invariants 3": _WORDS, "counts 3 0": _FIBERS,
-                   "verify --tmin 3 --tmax 5": _FIBERS,
-                   "m 20 1": _WORDS + _FORMS + " birman_menasco"}.items()}
+                   None: "", "": _CLI, "h 5": _FORMS, "forms 5": _FORMS, "classes 5": _COUNTS,
+                   "census 3 0": _COUNTS, "census 3 0 --max-len 5": _COUNTS,
+                   "invariants '1 2'": _WORDS, "invariants 3": _WORDS,
+                   "counts 3 0": _FIBERS, "verify --tmin 3 --tmax 5": _FIBERS,
+                   "m 20 1": _FORMS + " birman_menasco braid3 laurent"}.items()}
 
 
 def contract_env(path) -> dict[str, str]:
