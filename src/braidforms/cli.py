@@ -3,8 +3,9 @@
 Subcommands: h, forms, classes, invariants, counts, m, census, verify.
 Each returns one Record, which main renders as text, JSON or CSV; every JSON document carries
 the top-level key "schema": "bqf-braid/1".  Exit status, the same with stderr closed or full, is 0
-on success, 1 if a verification cell fails, stdout is missing or closed early (`>&-`, `| head`),
-or a write fails or the package detects a defect in itself (one error line), 2 for bad input.
+on success; 1 if a verification cell fails, stdout is missing or closed early (`>&-`, `| head`),
+a write fails, or, with one error line, an AssertionError or RuntimeError shows a defect in the
+package; 2, with one error line, for bad input: a ValueError (BraidParseError, LinkCountError).
 """
 
 from __future__ import annotations
@@ -276,11 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_limits(args)
         record = COMMANDS[args.command][0](args)
-    except (ValueError, getattr(sys.modules.get(f"{__package__}.counts"),
-                                "LinkCountError", ValueError)) as exc:
-        # Bad input; only a loaded counts raises LinkCountError, so it is looked up, not imported.
+    except ValueError as exc:
         return _fail(exc, 2)
-    except AssertionError as exc:  # a defect the package detected in itself
+    except (AssertionError, RuntimeError) as exc:
         return _fail(exc, 1)
     if sys.stdout is None:  # fd 1 was closed at start: no reader, as after `| head`
         return 1

@@ -45,8 +45,8 @@ class CountsRow(_value.Value):
                 "m": self.m, "p": self.p}
 
 
-class LinkCountError(RuntimeError):
-    """More fiber corrections than conjugacy classes in a cell."""
+class LinkCountError(ValueError):
+    """More fiber corrections than classes in a cell, which then has no count: a ValueError."""
 
     def __init__(self, t: int, n: int, x_count: int, m: int):
         super().__init__(

@@ -292,6 +292,8 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     mirror images (_mirrors) are the other classes of its orbit.  An image
     whose first member is not yet seen is a new class, rotated to start
     at its least member; the classes are sorted by that representative.
+    The reduced forms are the yielded ones and their images, N in all, and
+    the cycles must partition them, else AssertionError names both counts.
     """
     _check_trace(t)
     disc = t * t - 4
@@ -299,8 +301,9 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
         return (reduce(QForm(1, t, 1)), reduce(QForm(-1, -t, -1)))
     root = abs(t) - 1  # isqrt(D), as _reduced_indefinite_forms shows
     seen: set[tuple[int, int, int]] = set()
-    cycles = {}
+    cycles, forms = {}, 0
     for f in _reduced_indefinite_forms(t):
+        forms += 2 if f[0] == -f[2] else 4  # f and its 3 mirror images, 2 distinct if x = y
         if f in seen:
             continue
         for cycle in (walked := _cycle(f, root), *_mirrors(walked)):
@@ -308,6 +311,8 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
                 cycle = _rotated(cycle)
                 cycles[cycle[0]] = cycle
                 seen.update(cycle)
+    if (listed := sum(map(len, cycles.values()))) != forms:
+        raise AssertionError(f"t={t}: the class cycles hold {listed} of {forms} reduced forms")
     return tuple(FormClassKey(disc, rep, cycles[rep]) for rep in sorted(cycles))
 
 

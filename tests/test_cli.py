@@ -52,6 +52,17 @@ class TestH:
         assert code == 0 and out == "t,h\n5,2\n"
 
 
+    def test_failed_completeness_certificate_exits_1_with_one_error_line(self, capsys,
+                                                                        monkeypatch):
+        # A _cycle that drops its last member loses reduced forms; the uncached
+        # enumeration keeps the mutant's classes out of the cache.
+        cycle = quadforms._cycle
+        monkeypatch.setattr(quadforms, "_cycle", lambda g, root: cycle(g, root)[:-1])
+        monkeypatch.setattr(quadforms, "enumerate_classes", quadforms.enumerate_classes.__wrapped__)
+        assert run(capsys, "h", "20") == (
+            1, "", "error: t=20: the class cycles hold 24 of 28 reduced forms\n")
+
+
 class TestForms:
     def test_indefinite_listing(self, capsys):
         code, out, _ = run(capsys, "forms", "3")
@@ -214,6 +225,17 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "3", "0", "--max-len", "4")
         assert code == 0
         assert "census=1" in out and "x_count=1" in out and "gap=0" in out
+
+    def test_tripped_reduction_guard_exits_1_with_one_error_line(self, capsys, monkeypatch):
+        # A step that repeats its form never reaches a reduced one: a defect, not bad input.
+        def stuck(f, root):
+            while True:
+                yield f
+
+        monkeypatch.setattr(quadforms, "_steps", stuck)
+        code, out, err = run(capsys, "census", "3", "0", "--max-len", "5")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: reduction did not terminate in ")
 
 
 class TestVerify:
@@ -554,8 +576,8 @@ class TestLinkCountFailure:
 
     @pytest.mark.parametrize("args, n", [("counts 3 0", 0), ("verify --tmin 3 --tmax 3", -24)])
     def test_exits_2_when_the_command_first_loads_counts(self, args, n):
-        # In a fresh interpreter counts is first imported by the handler,
-        # so main must find LinkCountError after the handler has run.
+        # In a fresh interpreter counts is first imported by the handler:
+        # a LinkCountError from a counts loaded there still exits 2.
         probe = ("import sys, braidforms.birman_menasco as bm, braidforms.cli as cli\n"
                  "bm.class_excess = lambda t, n: 5\n"
                  "assert 'braidforms.counts' not in sys.modules\n"

@@ -205,6 +205,7 @@ class TestLinkCount:
 
     def test_error_carries_cell(self):
         err = LinkCountError(5, 2, 1, 3)
+        assert isinstance(err, ValueError)
         assert err.cell == (5, 2)
         assert "m=3" in str(err)
 

@@ -341,6 +341,25 @@ class TestEnumerateClasses:
             assert len(members) == total, t
             assert members == mirror_closure(sieve_quarters[abs(t)]), t
 
+    @pytest.mark.parametrize("mutant, expected", [
+        ("_cycle", {20: (24, 28), -30: (36, 44), 101: (24, 28)}),
+        ("_mirrors", {20: (24, 28), -30: (40, 44), 101: (24, 28)}),
+    ])
+    def test_run_time_certificate_catches_a_broken_walk(self, monkeypatch, mutant, expected):
+        # enumerate_classes counts the reduced forms as it reads the root
+        # table and requires its cycles to hold them all.  Mutants: _cycle
+        # drops its last member; _mirrors returns sigma's image for sigma-rho's.
+        from braidforms import quadforms
+
+        cycle, mirrors = quadforms._cycle, quadforms._mirrors
+        monkeypatch.setattr(quadforms, mutant, {
+            "_cycle": lambda g, root: cycle(g, root)[:-1],
+            "_mirrors": lambda walked: (lambda s, r, _: (s, r, s))(*mirrors(walked))}[mutant])
+        for t, (listed, forms) in expected.items():
+            with pytest.raises(AssertionError) as raised:
+                enumerate_classes.__wrapped__(t)  # past the cache
+            assert str(raised.value) == f"t={t}: the class cycles hold {listed} of {forms} reduced forms"
+
     def test_sqrt_mod(self):
         # The library's root and the divisor-sieve oracle's own: every n
         # below 400 mod each odd prime, 65537 = 1 mod 4 (the Tonelli-Shanks
