@@ -51,7 +51,6 @@ class TestH:
         code, out, _ = run(capsys, "h", "5", "--format", "csv")
         assert code == 0 and out == "t,h\n5,2\n"
 
-
     def test_failed_completeness_certificate_exits_1_with_one_error_line(self, capsys,
                                                                         monkeypatch):
         # A _cycle that drops its last member loses reduced forms; the uncached
