@@ -3,9 +3,9 @@
 Subcommands: h, forms, classes, invariants, counts, m, census, verify.
 Each returns one Record, which main renders as text, JSON or CSV; every JSON document carries
 the top-level key "schema": "bqf-braid/1".  Exit status, the same with stderr closed or full, is 0
-on success; 1 if a verification cell fails, stdout is missing or closed early (`>&-`, `| head`),
-a write fails, or, with one error line, an AssertionError or RuntimeError shows a defect in the
-package; 2, with one error line, for bad input: a ValueError (BraidParseError, LinkCountError).
+on success; 1 if a verification cell fails, stdout is missing or closed early (`>&-`, `| head`)
+or a write fails.  A command's exception ends the run with one error line: a ValueError is bad
+input (BraidParseError, LinkCountError) and exits 2, any other exception a defect and exits 1.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def _write_stdout(text: str) -> None:
 
 def _fail(exc: Exception, status: int) -> int:
     with contextlib.suppress(AttributeError, OSError):  # no stderr, or a closed or full one
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return status
     with contextlib.suppress(AttributeError, OSError):  # devnull takes the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         record = COMMANDS[args.command][0](args)
     except ValueError as exc:
         return _fail(exc, 2)
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:
         return _fail(exc, 1)
     if sys.stdout is None:  # fd 1 was closed at start: no reader, as after `| head`
         return 1

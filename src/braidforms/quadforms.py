@@ -292,8 +292,8 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     mirror images (_mirrors) are the other classes of its orbit.  An image
     whose first member is not yet seen is a new class, rotated to start
     at its least member; the classes are sorted by that representative.
-    The reduced forms are the yielded ones and their images, N in all, and
-    the cycles must partition them, else AssertionError names both counts.
+    The cycles must partition the N reduced forms, the yielded ones and their
+    images, and have even lengths (a alternates in sign), else AssertionError.
     """
     _check_trace(t)
     disc = t * t - 4
@@ -313,6 +313,8 @@ def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
                 seen.update(cycle)
     if (listed := sum(map(len, cycles.values()))) != forms:
         raise AssertionError(f"t={t}: the class cycles hold {listed} of {forms} reduced forms")
+    if odd := [rep for rep, cycle in cycles.items() if len(cycle) % 2]:
+        raise AssertionError(f"t={t}: the class cycle of {odd[0]} has odd length")
     return tuple(FormClassKey(disc, rep, cycles[rep]) for rep in sorted(cycles))
 
 

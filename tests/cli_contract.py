@@ -55,6 +55,12 @@ REDUCTION = Row("-c " + shlex.quote(
     "from braidforms import QForm, act, reduce, st_product; "
     "print(reduce(act(st_product([('S', 1), ('T', -1)] * 16000), QForm(1, 3, -1))).cycle)"),
     "{}", 0, "", "((-1, 3, 1), (1, 3, -1))\n", 10)
+#: Run by this Python: a quadforms._steps that repeats its form is a defect, whose one-form
+#: cycles fail the enumeration's even-length check: status 1 and one error line.
+DEFECT = Row("-c " + shlex.quote(
+    "import itertools, sys; from braidforms import quadforms; from braidforms.cli import main; "
+    "quadforms._steps = lambda f, root: itertools.repeat(f); sys.exit(main(['classes', '5']))"),
+    "{}", 1, "error: t=5: the class cycle of (1, 3, -3) has odd length\n", "")
 
 _CLI = "_value cli"
 _FORMS, _WORDS = _CLI + " quadforms sl2z", _CLI + " braid3 laurent sl2z"
@@ -123,7 +129,8 @@ def main(command: list[str]) -> int:
         failed |= loaded != expected
         print("ok  " if loaded == expected else f"FAIL {loaded}:",
               f"{seconds:5.3f} s modules after {args!r}")
-    for prefix, row in [(command, row) for row in ROWS] + [([sys.executable], REDUCTION)]:
+    for prefix, row in [(command, row) for row in ROWS] + [([sys.executable], REDUCTION),
+                                                           ([sys.executable], DEFECT)]:
         failure, seconds, peak = run_row(prefix, row, env)
         failed |= failure is not None
         label = row.shell.format(row.args)[:60]

@@ -211,6 +211,35 @@ def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
+def odd_prime_count(n: int) -> int:
+    """The number of odd primes dividing n != 0, by trial division."""
+    n, count, p = abs(n), 0, 3
+    while n % 2 == 0:
+        n //= 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 2
+    return count + (n > 1)
+
+
+def genus_mu(disc: int) -> int:
+    """mu of a discriminant disc > 0, disc = 0 or 1 mod 4: its primitive forms have
+    2^(mu - 1) genera and as many ambiguous classes, those of order at most 2.
+
+    With r the odd primes dividing disc: mu = r if disc = 1 mod 4; else, with
+    n = disc/4, r if n = 1 mod 4, r + 1 if n = 2 or 3 mod 4 or n = 4 mod 8,
+    and r + 2 if n = 0 mod 8 (Gauss, Disquisitiones Art. 257-258; Cox,
+    Primes of the form x^2 + ny^2, Prop. 3.11 and Thm. 3.15).
+    """
+    r = odd_prime_count(disc)
+    if disc % 4 == 1 or disc // 4 % 4 == 1:
+        return r
+    return r + 2 if disc // 4 % 8 == 0 else r + 1
+
+
 def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p, or None.
 

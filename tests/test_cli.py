@@ -4,6 +4,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from braidforms import birman_menasco, braid3, counts, quadforms, sl2z
 from braidforms.cli import (MAX_ABS_T, MAX_CENSUS_LEN, MAX_VERIFY_ABS_T_SUM,
                             MAX_WORD_COST, MAX_WORD_LETTERS, build_parser, main)
+from braidforms.laurent import HalfLaurent, NonDivisibleError
 import cli_contract
 from oracles import SRC
 
@@ -50,16 +52,6 @@ class TestH:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "h", "5", "--format", "csv")
         assert code == 0 and out == "t,h\n5,2\n"
-
-    def test_failed_completeness_certificate_exits_1_with_one_error_line(self, capsys,
-                                                                        monkeypatch):
-        # A _cycle that drops its last member loses reduced forms; the uncached
-        # enumeration keeps the mutant's classes out of the cache.
-        cycle = quadforms._cycle
-        monkeypatch.setattr(quadforms, "_cycle", lambda g, root: cycle(g, root)[:-1])
-        monkeypatch.setattr(quadforms, "enumerate_classes", quadforms.enumerate_classes.__wrapped__)
-        assert run(capsys, "h", "20") == (
-            1, "", "error: t=20: the class cycles hold 24 of 28 reduced forms\n")
 
 
 class TestForms:
@@ -211,30 +203,12 @@ class TestM:
         assert code == 0 and out.startswith("t=20 n=1 m_prime=1 m=1\n")
         assert calls == [(20, 1)]
 
-    def test_word_outside_its_cell_exits_1_with_one_error_line(self, capsys, monkeypatch):
-        # Cell (21, 1) handed the family-iii set of cell (20, 1): a defect, not bad input.
-        monkeypatch.setattr(birman_menasco, "_family_solutions", lambda t, n: [("iii", (1, 2, 3, 0))])
-        code, out, err = run(capsys, "m", "21", "1")
-        assert (code, out, err.count("\n")) == (1, "", 1)
-        assert err.startswith("error: ") and "(21, 1)" in err
-
 
 class TestCensus:
     def test_small_cell(self, capsys):
         code, out, _ = run(capsys, "census", "3", "0", "--max-len", "4")
         assert code == 0
         assert "census=1" in out and "x_count=1" in out and "gap=0" in out
-
-    def test_tripped_reduction_guard_exits_1_with_one_error_line(self, capsys, monkeypatch):
-        # A step that repeats its form never reaches a reduced one: a defect, not bad input.
-        def stuck(f, root):
-            while True:
-                yield f
-
-        monkeypatch.setattr(quadforms, "_steps", stuck)
-        code, out, err = run(capsys, "census", "3", "0", "--max-len", "5")
-        assert (code, out, err.count("\n")) == (1, "", 1)
-        assert err.startswith("error: reduction did not terminate in ")
 
 
 class TestVerify:
@@ -376,12 +350,11 @@ class TestLimits:
             raise Reached
 
         monkeypatch.setattr(counts, "check_main_identity", reached)
+        # The stand-in's exception is a defect to main, named by its type.
         # sum(range(3, 2449)) = 2997573 is within the limit; adding 2449 is not.
-        with pytest.raises(Reached):
-            main(["verify", "--tmin", "3", "--tmax", "2448"])
+        assert run(capsys, "verify", "--tmin", "3", "--tmax", "2448") == (1, "", "error: Reached\n")
         # sum(range(7813, 8188)) is the limit itself.
-        with pytest.raises(Reached):
-            main(["verify", "--tmin", "7813", "--tmax", "8187"])
+        assert run(capsys, "verify", "--tmin", "7813", "--tmax", "8187") == (1, "", "error: Reached\n")
         code, _, err = run(capsys, "verify", "--tmin", "-2449", "--tmax", "-3")
         assert code == 2 and "= 3000022 exceeds the limit" in err
 
@@ -467,8 +440,9 @@ def fuzz_argvs(draw) -> list[str]:
 def test_argv_fuzz_exits_cleanly(argv):
     # Every limit is checked before any work, so no run may take long: the
     # dearest examples above take about 0.5 s in process, and the bound is
-    # 2 s.  In process, status 1 only means a failing verify cell, which
-    # prints to stdout, so stderr is empty unless the input was rejected.
+    # 2 s.  In process, status 1 is a failing verify cell, which prints to
+    # stdout, or a defect's error line, which fails the case; so stderr is
+    # empty unless the input was rejected.
     start = perf_counter()
     code, out, err = run_in_process(argv)
     elapsed = perf_counter() - start
@@ -585,6 +559,47 @@ class TestLinkCountFailure:
                               text=True, env=cli_contract.contract_env(SRC), timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: cell (t=3, n={n}): correction m=5 exceeds class count 1\n"
+
+
+def _repeat(f, root):
+    return itertools.repeat(f)
+
+
+def _not_divisible(dividend, divisor):
+    raise NonDivisibleError
+
+
+class TestDefects:
+    #: argv -> (owner, name, stand-in) of the planted defect, and the one stderr line.
+    ROWS = {
+        # The completeness certificate: a _cycle that drops its last member loses forms.
+        "h 20": ((quadforms, "_cycle", lambda g, root, cycle=quadforms._cycle: cycle(g, root)[:-1]),
+                 "error: t=20: the class cycles hold 24 of 28 reduced forms\n"),
+        # Cell (21, 1) handed the family-iii set of cell (20, 1): a witness outside its cell.
+        "m 21 1": ((birman_menasco, "_family_solutions", lambda t, n: [("iii", (1, 2, 3, 0))]),
+                   "error: family-iii word -1 2 -1^2 2^3 lies outside cell (21, 1)\n"),
+        # A step that repeats its form: reduction never ends (the guard), and
+        # the class cycles each hold one form (the even-length check).
+        "census 3 0 --max-len 5": ((quadforms, "_steps", _repeat),
+                                   "error: reduction did not terminate in 6 steps on a form "
+                                   "of coefficient bit lengths (1, 2, 1)\n"),
+        "h 5": ((quadforms, "_steps", _repeat),
+                "error: t=5: the class cycle of (1, 3, -3) has odd length\n"),
+        "classes 5": ((quadforms, "_steps", _repeat),
+                      "error: t=5: the class cycle of (1, 3, -3) has odd length\n"),
+        # Neither a ValueError nor a message: the line names the exception's type.
+        "invariants '1 2'": ((HalfLaurent, "exact_div", _not_divisible),
+                             "error: NonDivisibleError\n"),
+    }
+
+    @pytest.mark.parametrize("args", ROWS)
+    def test_exits_1_with_one_error_line(self, capsys, monkeypatch, args):
+        (owner, name, stand_in), line = self.ROWS[args]
+        monkeypatch.setattr(owner, name, stand_in)
+        # Past both caches, so that no class list enters or leaves the defective run.
+        monkeypatch.setattr(quadforms, "enumerate_classes", quadforms.enumerate_classes.__wrapped__)
+        monkeypatch.setattr(counts, "trace_classes", counts.trace_classes.__wrapped__)
+        assert run(capsys, *shlex.split(args)) == (1, "", line)
 
 
 class TestMainCalls:

@@ -15,7 +15,7 @@ from braidforms.quadforms import (FormClassKey, QForm,
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
 import oracles
 from oracles import (CENSUS_TRACES, conjugacy_components, divisor_sieve_reduced_forms,
-                     evaluate, forms_with_bounded_coeffs, primes_upto,
+                     evaluate, forms_with_bounded_coeffs, genus_mu, primes_upto,
                      progression_quarters, random_st_matrix, reduced_cycle_step,
                      sl2_ball, sqrt_mod_prime, substitute, trace_t_matrices,
                      trial_division_reduced_forms)
@@ -341,24 +341,51 @@ class TestEnumerateClasses:
             assert len(members) == total, t
             assert members == mirror_closure(sieve_quarters[abs(t)]), t
 
+    def test_rho_fixed_classes_match_the_genus_count(self):
+        # rho: (a, b, c) -> (c, b, a) is inversion in the class group, so the
+        # rho-fixed classes are the ambiguous ones: 2^(mu - 1) per content g,
+        # g^2 | D with D/g^2 a discriminant.  A closed form at any t, which a
+        # lost orbit or a lost ambiguous class breaks.  The large t come first,
+        # while the certificate's enumerations may still be cached.
+        for t in [10**5, 30030, 4999, *range(3, 601)]:
+            disc = t * t - 4
+            fixed = 0
+            for key in enumerate_classes(t):
+                flipped = [(c, b, a) for a, b, c in reversed(key.cycle)]
+                start = flipped.index(min(flipped))
+                fixed += tuple(flipped[start:] + flipped[:start]) == key.cycle
+            assert fixed == sum(2 ** (genus_mu(disc // (g * g)) - 1)
+                                for g in range(1, math.isqrt(disc) + 1)
+                                if disc % (g * g) == 0 and disc // (g * g) % 4 < 2), t
+
     @pytest.mark.parametrize("mutant, expected", [
-        ("_cycle", {20: (24, 28), -30: (36, 44), 101: (24, 28)}),
-        ("_mirrors", {20: (24, 28), -30: (40, 44), 101: (24, 28)}),
+        ("_cycle", {20: "the class cycles hold 24 of 28 reduced forms",
+                    -30: "the class cycles hold 36 of 44 reduced forms",
+                    101: "the class cycles hold 24 of 28 reduced forms"}),
+        ("_mirrors", {20: "the class cycles hold 24 of 28 reduced forms",
+                      -30: "the class cycles hold 40 of 44 reduced forms",
+                      101: "the class cycles hold 24 of 28 reduced forms"}),
+        ("_steps", {5: "the class cycle of (1, 3, -3) has odd length",
+                    -30: "the class cycle of (1, 28, -28) has odd length",
+                    101: "the class cycle of (1, 99, -99) has odd length"}),
     ])
     def test_run_time_certificate_catches_a_broken_walk(self, monkeypatch, mutant, expected):
         # enumerate_classes counts the reduced forms as it reads the root
-        # table and requires its cycles to hold them all.  Mutants: _cycle
-        # drops its last member; _mirrors returns sigma's image for sigma-rho's.
+        # table and requires its cycles to hold them all, each with even
+        # length.  Mutants: _cycle drops its last member; _mirrors returns
+        # sigma's image for sigma-rho's; _steps repeats its form, so that
+        # every cycle holds one form and the count still matches.
         from braidforms import quadforms
 
         cycle, mirrors = quadforms._cycle, quadforms._mirrors
         monkeypatch.setattr(quadforms, mutant, {
             "_cycle": lambda g, root: cycle(g, root)[:-1],
-            "_mirrors": lambda walked: (lambda s, r, _: (s, r, s))(*mirrors(walked))}[mutant])
-        for t, (listed, forms) in expected.items():
+            "_mirrors": lambda walked: (lambda s, r, _: (s, r, s))(*mirrors(walked)),
+            "_steps": lambda f, root: itertools.repeat(f)}[mutant])
+        for t, message in expected.items():
             with pytest.raises(AssertionError) as raised:
                 enumerate_classes.__wrapped__(t)  # past the cache
-            assert str(raised.value) == f"t={t}: the class cycles hold {listed} of {forms} reduced forms"
+            assert str(raised.value) == f"t={t}: {message}"
 
     def test_sqrt_mod(self):
         # The library's root and the divisor-sieve oracle's own: every n
