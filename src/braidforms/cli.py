@@ -21,8 +21,8 @@ from . import _value
 SCHEMA = "bqf-braid/1"
 
 #: Largest |t| any subcommand accepts.  Form enumeration takes time and
-#: memory near linear in |t|; at this bound `h -100000` takes about 0.35 s
-#: and 36 MB as a CLI run, and `classes -100000` about 0.55 s and 49 MB.
+#: memory near linear in |t|; at this bound `h -100000` takes about 0.17 s
+#: and 24 MB as a CLI run, and `classes -100000` about 0.4 s and 48 MB.
 MAX_ABS_T = 10**5
 #: Largest census word length.  The walk keeps only states that can still reach
 #: the asked exponent; at this bound the widest walk, at n = 0, takes about

@@ -146,9 +146,10 @@ def _cycle(g: tuple[int, int, int], root: int) -> list[tuple[int, int, int]]:
         cycle.append(h)
 
 
-def _rotated(cycle: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+def _rotated(cycle: list[tuple[int, int, int]],
+             least: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
     """The cycle started at its least member, so that it is canonical."""
-    start = cycle.index(min(cycle))
+    start = cycle.index(least)
     return tuple(cycle[start:] + cycle[:start])
 
 
@@ -162,7 +163,7 @@ def reduce(f: QForm) -> FormClassKey:
     root = math.isqrt(disc)
     if root * root == disc:
         raise ValueError(f"square discriminant {disc} is not supported")
-    cycle = _rotated(_cycle(_reduce_indefinite(f.triple(), root), root))
+    cycle = _rotated(cycle := _cycle(_reduce_indefinite(f.triple(), root), root), min(cycle))
     return FormClassKey(disc, cycle[0], cycle)
 
 
@@ -266,16 +267,47 @@ def _reduced_indefinite_forms(t: int) -> Iterator[tuple[int, int, int]]:
 def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, int, int]], ...]:
     """The sigma, rho and sigma-rho images of a reduced cycle, unrotated.
 
-    sigma negates a and c; rho flips each member, in reverse order.  On
-    reduced forms |c| < sqrt(D), so the step of _steps, (a, b, c) ->
-    (c, 2cs - b, c'), takes s = sign(c) * floor((b + isqrt(D)) / 2|c|):
-    b' = 2cs - b is the largest value below sqrt(D) that is -b mod 2|c|.
-    It depends on |c| alone, and on reduced forms 2|c| > sqrt(D) - b as
-    for |a|, so b is that value for b': the step also takes rho(c, b', c')
-    to rho(a, b, c).
+    sigma negates a and c; rho flips each member, in reverse order; sigma-rho is rho
+    of the sigma image, whose negated integers it shares.  On reduced forms
+    |c| < sqrt(D), so the step of _steps, (a, b, c) -> (c, 2cs - b, c'), takes
+    s = sign(c) * floor((b + isqrt(D)) / 2|c|): b' = 2cs - b is the largest
+    value below sqrt(D) that is -b mod 2|c|.  It depends on |c| alone, and on
+    reduced forms 2|c| > sqrt(D) - b as for |a|, so b is that value for b':
+    the step also takes rho(c, b', c') to rho(a, b, c).
     """
-    flipped = [(c, b, a) for a, b, c in reversed(cycle)]
-    return [(-a, b, -c) for a, b, c in cycle], flipped, [(-a, b, -c) for a, b, c in flipped]
+    sigma = [(-a, b, -c) for a, b, c in cycle]
+    return sigma, [(c, b, a) for a, b, c in cycle[::-1]], [(c, b, a) for a, b, c in sigma[::-1]]
+
+
+def _orbits(t: int) -> Iterator[dict[tuple[int, int, int], list[tuple[int, int, int]]]]:
+    """Each mirror orbit of D = t^2 - 4, |t| >= 3: its distinct cycles, by least member.
+
+    The cycle of each root-table form (_reduced_indefinite_forms) not yet seen is walked,
+    and its mirror images (_mirrors) are the rest of its orbit.  Each reduced form has one
+    image with 0 < a <= -c, in the root table, so seen keeps only those.  The cycles must
+    partition the N reduced forms and have even lengths, else AssertionError at the end.
+    """
+    root = abs(t) - 1  # isqrt(D), as _reduced_indefinite_forms shows
+    seen: set[tuple[int, int, int]] = set()
+    listed, forms, odd = 0, 0, None
+    for f in _reduced_indefinite_forms(t):
+        forms += 2 if f[0] == -f[2] else 4  # f and its 3 mirror images, 2 distinct if x = y
+        if f in seen:
+            continue
+        orbit = {}
+        for cycle in (walked := _cycle(f, root), *_mirrors(walked)):
+            if (rep := min(cycle)) not in orbit:  # a new class
+                orbit[rep] = cycle
+                for g in cycle:
+                    if 0 < g[0] <= -g[2]:
+                        seen.add(g)
+                listed += len(cycle)
+                odd = odd or len(cycle) % 2 and rep
+        yield orbit
+    if listed != forms:
+        raise AssertionError(f"t={t}: the class cycles hold {listed} of {forms} reduced forms")
+    if odd:
+        raise AssertionError(f"t={t}: the class cycle of {odd} has odd length")
 
 
 # Few entries: callers reuse one t (or t and -t) at a time, and at large
@@ -284,37 +316,16 @@ def _mirrors(cycle: tuple[tuple[int, int, int], ...]) -> tuple[list[tuple[int, i
 def enumerate_classes(t: int) -> tuple[FormClassKey, ...]:
     """All form classes of discriminant t^2 - 4, for t != +-2.
 
-    Negative discriminant (|t| < 2): D is -3 or -4, of class number
-    one, so the classes are those of x^2 + txy + y^2 and its negative,
-    a separate negative definite class.
-    Positive discriminant: the cycle of each reduced form of
-    _reduced_indefinite_forms not yet seen is walked from it, and its
-    mirror images (_mirrors) are the other classes of its orbit.  An image
-    whose first member is not yet seen is a new class, rotated to start
-    at its least member; the classes are sorted by that representative.
-    The cycles must partition the N reduced forms, the yielded ones and their
-    images, and have even lengths (a alternates in sign), else AssertionError.
+    Negative discriminant (|t| < 2): D is -3 or -4, of class number one, so the classes
+    are those of x^2 + txy + y^2 and its negative, a separate negative definite class.
+    Positive discriminant: the cycles _orbits yields, each rotated to start at its least
+    member, which keys it, and sorted by it; _orbits checks them (AssertionError).
     """
     _check_trace(t)
     disc = t * t - 4
     if disc < 0:
         return (reduce(QForm(1, t, 1)), reduce(QForm(-1, -t, -1)))
-    root = abs(t) - 1  # isqrt(D), as _reduced_indefinite_forms shows
-    seen: set[tuple[int, int, int]] = set()
-    cycles, forms = {}, 0
-    for f in _reduced_indefinite_forms(t):
-        forms += 2 if f[0] == -f[2] else 4  # f and its 3 mirror images, 2 distinct if x = y
-        if f in seen:
-            continue
-        for cycle in (walked := _cycle(f, root), *_mirrors(walked)):
-            if cycle[0] not in seen:
-                cycle = _rotated(cycle)
-                cycles[cycle[0]] = cycle
-                seen.update(cycle)
-    if (listed := sum(map(len, cycles.values()))) != forms:
-        raise AssertionError(f"t={t}: the class cycles hold {listed} of {forms} reduced forms")
-    if odd := [rep for rep, cycle in cycles.items() if len(cycle) % 2]:
-        raise AssertionError(f"t={t}: the class cycle of {odd[0]} has odd length")
+    cycles = {rep: _rotated(cycle, rep) for orbit in _orbits(t) for rep, cycle in orbit.items()}
     return tuple(FormClassKey(disc, rep, cycles[rep]) for rep in sorted(cycles))
 
 
@@ -344,8 +355,12 @@ def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, in
 
 
 def class_number(t: int) -> int:
-    """h(t): the number of form classes of discriminant t^2 - 4."""
-    return len(enumerate_classes(t))
+    """h(t), the number of form classes of discriminant t^2 - 4, for t != +-2.
+
+    Counts the cycles of _orbits, with no class key, rotation or cache entry.
+    """
+    _check_trace(t)
+    return 2 if abs(t) < 2 else sum(map(len, _orbits(t)))
 
 
 def form_of_matrix(m: Mat2Z) -> QForm:

@@ -31,11 +31,13 @@ STREAM_ROWS = [
     Row("h 2", "{} 2< /dev/null", 2, "", ""),
 ]
 #: The deepest census at its widest window (n = 0) and largest t, the
-#: largest class enumeration (h = 11264), the dearest word both word limits
+#: largest class enumeration (h = 11264) and the largest class count, which
+#: walks the same orbits but keeps no class, the dearest word both word limits
 #: allow, and the widest verify range the |t|-sum limit allows.
 LIMIT_ROWS = [
     Row("census 100000 0 --max-len 16 --format json", "{}", 0, "", "{\n", 60, 83),
     Row("classes -100000 --format csv", "{} > /dev/null", 0, "", "", 30, 105),
+    Row("h -100000", "{}", 0, "", "11264\n", 10, 48),
     Row(shlex.join(["invariants", " ".join(["1^2500 2^2500"] * 20), "--format", "json"]),
         "{} > /dev/null", 0, "", "", 30, 268),
     Row("verify --tmin 3 --tmax 2448 --format csv", "{} > /dev/null", 0, "", "", 60, 69),

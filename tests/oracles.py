@@ -29,6 +29,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # The traces |t| <= 8 but +-2, where the census and the bounded matrix
 # oracles reach every class.
 CENSUS_TRACES = tuple(t for t in range(-8, 9) if t not in (-2, 2))
+# The large traces whose whole class lists the tests check against the
+# completeness certificate, the cycle sum and the normal-form words.
+CERTIFICATE_TRACES = (4999, -10**4, 30030, -99999, 10**5)
+_KEPT: dict[int, tuple[counts.ClassWithExponent, ...]] = {}
+
+
+def session_classes(t: int) -> tuple[counts.ClassWithExponent, ...]:
+    """counts.trace_classes(t), kept for the whole session at CERTIFICATE_TRACES.
+
+    The package's caches hold 4 traces, so tests that read the large class
+    lists in turn would each enumerate them again.
+    """
+    if t not in CERTIFICATE_TRACES:
+        return counts.trace_classes(t)
+    if t not in _KEPT:
+        _KEPT[t] = counts.trace_classes(t)
+    return _KEPT[t]
 
 
 def class_digest(traces: Iterable[int]) -> str:

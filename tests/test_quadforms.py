@@ -14,11 +14,11 @@ from braidforms.quadforms import (FormClassKey, QForm,
                                   form_of_matrix, matrix_of_form, reduce)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T, st_product
 import oracles
-from oracles import (CENSUS_TRACES, conjugacy_components, divisor_sieve_reduced_forms,
-                     evaluate, forms_with_bounded_coeffs, genus_mu, primes_upto,
-                     progression_quarters, random_st_matrix, reduced_cycle_step,
-                     sl2_ball, sqrt_mod_prime, substitute, trace_t_matrices,
-                     trial_division_reduced_forms)
+from oracles import (CENSUS_TRACES, CERTIFICATE_TRACES, conjugacy_components,
+                     divisor_sieve_reduced_forms, evaluate, forms_with_bounded_coeffs,
+                     genus_mu, primes_upto, progression_quarters, random_st_matrix,
+                     reduced_cycle_step, session_classes, sl2_ball, sqrt_mod_prime,
+                     substitute, trace_t_matrices, trial_division_reduced_forms)
 
 
 def quarter(forms):
@@ -254,10 +254,23 @@ class TestEnumerateClasses:
             assert enumerate_classes(t) == tuple(FormClassKey(t * t - 4, r) for r in reps)
 
     def test_rejects_excluded_traces(self):
-        with pytest.raises(ValueError):
-            enumerate_classes(2)
-        with pytest.raises(ValueError):
-            class_number(-2)
+        for count in (enumerate_classes, class_number):
+            for t in (2, -2):
+                with pytest.raises(ValueError) as raised:
+                    count(t)
+                assert str(raised.value) == "t = +-2 is excluded"
+
+    def test_class_number_counts_the_listed_classes(self):
+        # class_number walks the orbits on its own, with no class key and no
+        # cache entry; its count is the length of the uncached class list.
+        # At the large traces the session's lists serve.
+        for t in [*range(-600, -2), -1, 0, 1, *range(3, 601), *CERTIFICATE_TRACES]:
+            cached = enumerate_classes.cache_info()
+            h = class_number(t)
+            assert enumerate_classes.cache_info() == cached, t
+            listed = session_classes(t) if t in CERTIFICATE_TRACES else \
+                enumerate_classes.__wrapped__(t)
+            assert h == len(listed), t
 
     def test_symmetry_in_t(self):
         for t in range(3, 51):
@@ -329,10 +342,10 @@ class TestEnumerateClasses:
         # complete and free of duplicates when its cycles are pairwise
         # disjoint, each closes under the oracle's step, and together they
         # hold every reduced form: the sigma and rho images of the quarter.
-        for t in (4999, -10**4, 30030, -99999, 10**5):
+        for t in CERTIFICATE_TRACES:
             disc = t * t - 4
             members, total = set(), 0
-            for key in enumerate_classes(t):
+            for key in (cls.key for cls in session_classes(t)):
                 cycle = key.cycle
                 assert key.rep == cycle[0] == min(cycle), key.rep
                 assert [reduced_cycle_step(f, disc) for f in cycle] == [*cycle[1:], cycle[0]], key.rep
@@ -345,12 +358,13 @@ class TestEnumerateClasses:
         # rho: (a, b, c) -> (c, b, a) is inversion in the class group, so the
         # rho-fixed classes are the ambiguous ones: 2^(mu - 1) per content g,
         # g^2 | D with D/g^2 a discriminant.  A closed form at any t, which a
-        # lost orbit or a lost ambiguous class breaks.  The large t come first,
-        # while the certificate's enumerations may still be cached.
+        # lost orbit or a lost ambiguous class breaks.
         for t in [10**5, 30030, 4999, *range(3, 601)]:
             disc = t * t - 4
             fixed = 0
-            for key in enumerate_classes(t):
+            keys = [cls.key for cls in session_classes(t)] if t in CERTIFICATE_TRACES else \
+                enumerate_classes(t)
+            for key in keys:
                 flipped = [(c, b, a) for a, b, c in reversed(key.cycle)]
                 start = flipped.index(min(flipped))
                 fixed += tuple(flipped[start:] + flipped[:start]) == key.cycle
@@ -359,9 +373,9 @@ class TestEnumerateClasses:
                                 if disc % (g * g) == 0 and disc // (g * g) % 4 < 2), t
 
     @pytest.mark.parametrize("mutant, expected", [
-        ("_cycle", {20: "the class cycles hold 24 of 28 reduced forms",
-                    -30: "the class cycles hold 36 of 44 reduced forms",
-                    101: "the class cycles hold 24 of 28 reduced forms"}),
+        ("_cycle", {20: "the class cycles hold 36 of 28 reduced forms",
+                    -30: "the class cycles hold 48 of 44 reduced forms",
+                    101: "the class cycles hold 36 of 28 reduced forms"}),
         ("_mirrors", {20: "the class cycles hold 24 of 28 reduced forms",
                       -30: "the class cycles hold 40 of 44 reduced forms",
                       101: "the class cycles hold 24 of 28 reduced forms"}),
@@ -370,11 +384,13 @@ class TestEnumerateClasses:
                     101: "the class cycle of (1, 99, -99) has odd length"}),
     ])
     def test_run_time_certificate_catches_a_broken_walk(self, monkeypatch, mutant, expected):
-        # enumerate_classes counts the reduced forms as it reads the root
+        # The orbit walker counts the reduced forms as it reads the root
         # table and requires its cycles to hold them all, each with even
-        # length.  Mutants: _cycle drops its last member; _mirrors returns
-        # sigma's image for sigma-rho's; _steps repeats its form, so that
-        # every cycle holds one form and the count still matches.
+        # length, on both of its paths.  Mutants: _cycle drops its last
+        # member, so some root-table forms stay unseen and their orbits are
+        # walked again; _mirrors returns sigma's image for sigma-rho's;
+        # _steps repeats its form, so that every cycle holds one form and the
+        # count still matches.
         from braidforms import quadforms
 
         cycle, mirrors = quadforms._cycle, quadforms._mirrors
@@ -383,9 +399,10 @@ class TestEnumerateClasses:
             "_mirrors": lambda walked: (lambda s, r, _: (s, r, s))(*mirrors(walked)),
             "_steps": lambda f, root: itertools.repeat(f)}[mutant])
         for t, message in expected.items():
-            with pytest.raises(AssertionError) as raised:
-                enumerate_classes.__wrapped__(t)  # past the cache
-            assert str(raised.value) == f"t={t}: {message}"
+            for count in (enumerate_classes.__wrapped__, class_number):  # past the cache
+                with pytest.raises(AssertionError) as raised:
+                    count(t)
+                assert str(raised.value) == f"t={t}: {message}"
 
     def test_sqrt_mod(self):
         # The library's root and the divisor-sieve oracle's own: every n

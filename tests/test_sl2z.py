@@ -9,7 +9,8 @@ from braidforms.quadforms import enumerate_classes, is_conjugate, matrix_of_form
 from braidforms.sl2z import (IDENTITY, Mat2Z, S, T, decompose_st,
                              exponent_mod12, st_product)
 from oracles import (CENSUS_TRACES, conjugacy_components, rademacher_residue,
-                     random_word, sl2_ball, trace_t_matrices, words_up_to)
+                     random_word, session_classes, sl2_ball, trace_t_matrices,
+                     words_up_to)
 
 NEG_I = Mat2Z(-1, 0, 0, -1)
 
@@ -112,7 +113,7 @@ class TestDecompose:
         # orbit (a, b, c) -> (-a, b, -c), (c, b, a), (-c, b, -a).
         for t in (4999, -10000, 10**5):
             seen = set()
-            for key in enumerate_classes(t):
+            for key in (cls.key for cls in session_classes(t)):
                 if key.rep not in seen:
                     seen.update(f for a, b, c in key.cycle
                                 for f in ((-a, b, -c), (c, b, a), (-c, b, -a)))
