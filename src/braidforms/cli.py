@@ -263,12 +263,21 @@ def _write_stdout(text: str) -> None:
     sys.stdout.flush()
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's fd at devnull, which then takes the flush at interpreter exit."""
+    target, fd = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(fd, target)
+    finally:
+        os.close(fd)
+
+
 def _fail(exc: Exception, status: int) -> int:
     with contextlib.suppress(AttributeError, OSError):  # no stderr, or a closed or full one
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return status
-    with contextlib.suppress(AttributeError, OSError):  # devnull takes the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    with contextlib.suppress(AttributeError, OSError):
+        _to_devnull(sys.stderr)
     return status
 
 
@@ -277,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_limits(args)
         record = COMMANDS[args.command][0](args)
+        text = _render(record, args.command, args.format)
     except ValueError as exc:
         return _fail(exc, 2)
     except Exception as exc:
@@ -284,10 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # fd 1 was closed at start: no reader, as after `| head`
         return 1
     try:
-        _write_stdout(_render(record, args.command, args.format))
+        _write_stdout(text)
     except OSError as exc:
-        # A reader gone early is no error, a full disk is; devnull takes the exit flush.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # A reader gone early is no error, a full disk is.
+        _to_devnull(sys.stdout)
         return 1 if isinstance(exc, BrokenPipeError) else _fail(exc, 1)
     return record.status
 

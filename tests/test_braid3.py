@@ -9,7 +9,7 @@ from braidforms.braid3 import (VALID_LETTERS, BraidParseError, BraidWord, BurauM
                                alexander, burau, exponent_sum, garside_power, jones,
                                parse_syllables, phi, special_value, trace_b3)
 from braidforms.laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent,
-                                NEG_INV_SQRT_Q, NEG_Q, ONE, ZERO, monomial_pow)
+                                NEG_INV_SQRT_Q, NEG_Q, ONE, SQRT_Q, ZERO, monomial_pow)
 from braidforms.sl2z import IDENTITY, Mat2Z, S, T
 from oracles import random_word
 
@@ -148,6 +148,11 @@ class TestPhi:
 
     def test_braid_relation(self):
         assert phi(BraidWord((1, 2, 1))) == phi(BraidWord((2, 1, 2)))
+
+    def test_non_integral_specialization_raises(self):
+        # q^(1/2) at q = -1 is i, so this matrix has no integral image.
+        with pytest.raises(ArithmeticError, match="non-integer specialization"):
+            BurauMat(SQRT_Q, ZERO, ZERO, ONE).at_q_minus_one()
 
 
 def _geometric(x: HalfLaurent, n: int) -> HalfLaurent:
