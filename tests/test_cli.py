@@ -339,27 +339,32 @@ _TWICE_CSV = "t,n,x_count,m,p,h_lhs,window_rhs,pass\n" + "".join(
 
 
 class TestDefects:
-    #: argv -> ((owner, name, stand-in) of the planted failure, exact (status, stdout, stderr)).
-    ROWS = {
+    #: argv -> ((owner, name, stand-in) of a planted defect that a check of the program
+    #: catches, and the one stderr line of its exit 1).
+    ERROR_ROWS = {
         # The completeness certificate: a _cycle that drops its last member leaves root-table
         # forms unseen, so their orbits are walked again and overcount the forms.
         "h 20": ((quadforms, "_cycle", lambda g, root, cycle=quadforms._cycle: cycle(g, root)[:-1]),
-                 (1, "", "error: t=20: the class cycles hold 36 of 28 reduced forms\n")),
+                 "error: t=20: the class cycles hold 36 of 28 reduced forms\n"),
         # Cell (21, 1) handed the family-iii set of cell (20, 1): a witness outside its cell.
         "m 21 1": ((birman_menasco, "_family_solutions", lambda t, n: [("iii", (1, 2, 3, 0))]),
-                   (1, "", "error: family-iii word -1 2 -1^2 2^3 lies outside cell (21, 1)\n")),
+                   "error: family-iii word -1 2 -1^2 2^3 lies outside cell (21, 1)\n"),
         # A step that repeats its form: reduction never ends (the guard), and
         # the class cycles each hold one form (the even-length check).
         "census 3 0 --max-len 5": ((quadforms, "_steps", _repeat),
-                                   (1, "", "error: reduction did not terminate in 6 steps on a "
-                                    "form of coefficient bit lengths (1, 2, 1)\n")),
+                                   "error: reduction did not terminate in 6 steps on a form "
+                                   "of coefficient bit lengths (1, 2, 1)\n"),
         "h 5": ((quadforms, "_steps", _repeat),
-                (1, "", "error: t=5: the class cycle of (1, 3, -3) has odd length\n")),
+                "error: t=5: the class cycle of (1, 3, -3) has odd length\n"),
         "classes 5": ((quadforms, "_steps", _repeat),
-                      (1, "", "error: t=5: the class cycle of (1, 3, -3) has odd length\n")),
+                      "error: t=5: the class cycle of (1, 3, -3) has odd length\n"),
         # Neither a ValueError nor a message: the line names the exception's type.
         "invariants '1 2'": ((HalfLaurent, "exact_div", _not_divisible),
-                             (1, "", "error: NonDivisibleError\n")),
+                             "error: NonDivisibleError\n"),
+    }
+
+    #: argv -> ((owner, name, stand-in) of the planted failure, exact (status, stdout, stderr)).
+    ROWS = {
         # (-9, 6, 10) lies in t = 20's orbit of four classes and is not its least: a lost
         # mirror class fails its cell, and verify reports it without a traceback.
         "verify --tmin 20 --tmax 20": (
@@ -389,14 +394,23 @@ class TestDefects:
                                       "class count 1\n")),
     }
 
-    @pytest.mark.parametrize("args", ROWS)
-    def test_planted_failure(self, monkeypatch, args):
+    @staticmethod
+    def planted_run(monkeypatch, args, patch) -> tuple[int, str, str]:
         # Past both caches, so that no class list enters or leaves the planted run.
         monkeypatch.setattr(quadforms, "enumerate_classes", quadforms.enumerate_classes.__wrapped__)
         monkeypatch.setattr(counts, "trace_classes", counts.trace_classes.__wrapped__)
-        (owner, name, stand_in), expected = self.ROWS[args]
-        monkeypatch.setattr(owner, name, stand_in)
-        assert run_in_process(shlex.split(args)) == expected
+        monkeypatch.setattr(*patch)
+        return run_in_process(shlex.split(args))
+
+    @pytest.mark.parametrize("args", ERROR_ROWS)
+    def test_exits_1_with_one_error_line(self, monkeypatch, args):
+        patch, line = self.ERROR_ROWS[args]
+        assert self.planted_run(monkeypatch, args, patch) == (1, "", line)
+
+    @pytest.mark.parametrize("args", ROWS)
+    def test_planted_failure(self, monkeypatch, args):
+        patch, expected = self.ROWS[args]
+        assert self.planted_run(monkeypatch, args, patch) == expected
 
 
 class TestMainCalls:
