@@ -51,3 +51,7 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class InputError(ValueError):
+    """Input that the caller got wrong, such as a value past a limit; the CLI exits 2 on it."""

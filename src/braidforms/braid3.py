@@ -29,7 +29,7 @@ from .laurent import (CYCLOTOMIC3, GaussInt, HalfLaurent, NEG_INV_SQRT_Q,
 VALID_LETTERS = tuple(sl2z.LETTERS)
 
 
-class BraidParseError(ValueError):
+class BraidParseError(_value.InputError):
     """Syntax error in a braid word, with the offending position."""
 
     def __init__(self, message: str, position: int):

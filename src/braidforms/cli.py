@@ -4,8 +4,9 @@ Subcommands: h, forms, classes, invariants, counts, m, census, verify.
 Each returns one Record, which main renders as text, JSON or CSV; every JSON document carries
 the top-level key "schema": "bqf-braid/1".  Exit status, the same with stderr closed or full, is 0
 on success; 1 if a verification cell fails, stdout is missing or closed early (`>&-`, `| head`)
-or a write fails.  A command's exception ends the run with one error line: a ValueError is bad
-input (BraidParseError, LinkCountError) and exits 2, any other exception a defect and exits 1.
+or a write fails.  A command's exception ends the run with one error line: an InputError is bad
+input (a limit, BraidParseError, LinkCountError) and exits 2, any other exception a defect and
+exits 1.
 """
 
 from __future__ import annotations
@@ -95,12 +96,12 @@ def _cmd_invariants(args: argparse.Namespace) -> Record:
     k = args.delta_power
     letters = 3 * abs(k) + sum(count for _, count in syllables)
     if letters > MAX_WORD_LETTERS:
-        raise ValueError(f"the word has {letters} letters, which exceeds "
-                         f"the limit {MAX_WORD_LETTERS}")
+        raise _value.InputError(f"the word has {letters} letters, which exceeds "
+                                f"the limit {MAX_WORD_LETTERS}")
     cost = (len(syllables) + 2 * abs(k)) * letters
     if cost > MAX_WORD_COST:
-        raise ValueError(f"syllables x letters = {cost} exceeds the limit "
-                         f"{MAX_WORD_COST}")
+        raise _value.InputError(f"syllables x letters = {cost} exceeds the limit "
+                                f"{MAX_WORD_COST}")
     word = braid3.BraidWord.parse(args.word)
     if k:
         word = braid3.garside_power(k) * word
@@ -139,7 +140,7 @@ def _cmd_m(args: argparse.Namespace) -> Record:
 def _cmd_census(args: argparse.Namespace) -> Record:
     from . import counts
     if args.max_len > MAX_CENSUS_LEN:
-        raise ValueError(f"--max-len {args.max_len} exceeds the limit {MAX_CENSUS_LEN}")
+        raise _value.InputError(f"--max-len {args.max_len} exceeds the limit {MAX_CENSUS_LEN}")
     lower = counts.braid_census(args.t, args.n, args.max_len)
     exact = counts.class_count(args.t, args.n)
     return _cell({"t": args.t, "n": args.n, "max_len": args.max_len,
@@ -149,11 +150,11 @@ def _cmd_census(args: argparse.Namespace) -> Record:
 def _cmd_verify(args: argparse.Namespace) -> Record:
     from . import counts
     if args.tmin > args.tmax:
-        raise ValueError("empty t range")
+        raise _value.InputError("empty t range")
     total = sum(map(abs, range(args.tmin, args.tmax + 1)))
     if total > MAX_VERIFY_ABS_T_SUM:
-        raise ValueError(f"sum of |t| over the range = {total} exceeds "
-                         f"the limit {MAX_VERIFY_ABS_T_SUM}")
+        raise _value.InputError(f"sum of |t| over the range = {total} exceeds "
+                                f"the limit {MAX_VERIFY_ABS_T_SUM}")
     results, skipped = [], []
     for t in range(args.tmin, args.tmax + 1):
         if t in (2, -2):
@@ -162,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> Record:
         n = args.n if args.n is not None else counts.default_sweep_exponent(t)
         results.append(counts.check_main_identity(t, n))
     if not results:
-        raise ValueError("no t in the range is checked (t = +-2 is excluded)")
+        raise _value.InputError("no t in the range is checked (t = +-2 is excluded)")
     all_ok = all(r.ok for r in results)
     return Record(
         {"tmin": args.tmin, "tmax": args.tmax, "skipped_t": skipped,
@@ -225,22 +226,25 @@ def _check_limits(args: argparse.Namespace) -> None:
     for name in ("t", "tmin", "tmax"):
         value = getattr(args, name, None)
         if value is not None and abs(value) > MAX_ABS_T:
-            raise ValueError(f"|{name}| = {abs(value)} exceeds the limit {MAX_ABS_T}")
+            raise _value.InputError(f"|{name}| = {abs(value)} exceeds the limit {MAX_ABS_T}")
 
 
 def _render(record: Record, command: str, fmt: str) -> str:
-    if fmt == "json":
-        import json
-        doc = {"schema": SCHEMA, "command": command, **record.payload}
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.header)
-        writer.writerows(record.rows)
-        return buf.getvalue()
+    try:
+        if fmt == "json":
+            import json
+            doc = {"schema": SCHEMA, "command": command, **record.payload}
+            return json.dumps(doc, indent=2) + "\n"
+        if fmt == "csv":
+            import csv
+            import io
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(record.header)
+            writer.writerows(record.rows)
+            return buf.getvalue()
+    except ValueError as exc:  # an int past Python's int-to-str digit limit, from a huge --n
+        raise _value.InputError(str(exc)) from None
     return "".join(f"{line}\n" for line in record.lines)
 
 
@@ -287,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_limits(args)
         record = COMMANDS[args.command][0](args)
         text = _render(record, args.command, args.format)
-    except ValueError as exc:
+    except _value.InputError as exc:
         return _fail(exc, 2)
     except Exception as exc:
         return _fail(exc, 1)

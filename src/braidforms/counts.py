@@ -45,8 +45,8 @@ class CountsRow(_value.Value):
                 "m": self.m, "p": self.p}
 
 
-class LinkCountError(ValueError):
-    """More fiber corrections than classes in a cell, which then has no count: a ValueError."""
+class LinkCountError(_value.InputError):
+    """More fiber corrections than classes in a cell, which then has no count: bad input."""
 
     def __init__(self, t: int, n: int, x_count: int, m: int):
         super().__init__(
@@ -194,7 +194,7 @@ def braid_census(t: int, n: int, max_len: int) -> int:
     keys are distinct conjugacy classes of trace t and exponent n.
     """
     if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+        raise _value.InputError("max_len must be at least 1")
     quadforms._check_trace(t)
     table = census_table(max_len, range(t, t + 1), range(n, n + 1))
     return table.get((t, n), 0)

@@ -82,7 +82,7 @@ def act(m: Mat2Z, f: QForm) -> QForm:
 def _check_trace(t: int) -> None:
     """Refuse t = +-2, where the discriminant t^2 - 4 is zero."""
     if t in (2, -2):
-        raise ValueError("t = +-2 is excluded")
+        raise _value.InputError("t = +-2 is excluded")
 
 
 def _reduce_definite(a: int, b: int, c: int) -> tuple[int, int, int]:

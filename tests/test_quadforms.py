@@ -253,13 +253,6 @@ class TestEnumerateClasses:
                         (1, ((1, 1, 1), (-1, -1, -1)))):
             assert enumerate_classes(t) == tuple(FormClassKey(t * t - 4, r) for r in reps)
 
-    def test_rejects_excluded_traces(self):
-        for count in (enumerate_classes, class_number):
-            for t in (2, -2):
-                with pytest.raises(ValueError) as raised:
-                    count(t)
-                assert str(raised.value) == "t = +-2 is excluded"
-
     def test_class_number_counts_the_listed_classes(self):
         # class_number walks the orbits on its own, with no class key and no
         # cache entry; its count is the length of the uncached class list.
@@ -271,10 +264,6 @@ class TestEnumerateClasses:
             listed = session_classes(t) if t in CERTIFICATE_TRACES else \
                 enumerate_classes.__wrapped__(t)
             assert h == len(listed), t
-
-    def test_symmetry_in_t(self):
-        for t in range(3, 51):
-            assert class_number(t) == class_number(-t)
 
     def test_keys_are_distinct_and_self_consistent(self):
         for t in (0, 1, 3, 5, 12, 30):

@@ -121,14 +121,6 @@ class TestDecompose:
 
 
 class TestExponentMod12:
-    def test_generators(self):
-        assert exponent_mod12(S) == 1
-        assert exponent_mod12(T) == 1
-        assert exponent_mod12(IDENTITY) == 0
-
-    def test_central_involution(self):
-        assert exponent_mod12(NEG_I) == 6
-
     def test_class_function(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -224,9 +216,3 @@ def test_st_product_matches_generator_products():
         with pytest.raises(ValueError, match="^unknown generator 'U'$"):
             st_product(word + [("U", 1), ("S", 1)])
 
-
-def test_st_product_of_one_power():
-    assert st_product([("S", 5)]) == S * S * S * S * S
-    assert st_product([("T", -3)]) == T.inverse() * T.inverse() * T.inverse()
-    with pytest.raises(ValueError):
-        st_product([("U", 1)])
