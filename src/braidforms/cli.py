@@ -190,7 +190,9 @@ COMMANDS = {
     "forms": (_cmd_forms, "all reduced forms of discriminant t^2 - 4", [_T]),
     "classes": (_cmd_classes, "form classes with exponent residues", [_T]),
     "invariants": (_cmd_invariants, "invariants of a braid closure", [
-        _arg("word", help="braid word, e.g. '1 2 -1' or '1^3 2'"),
+        _arg("word", help="braid word, e.g. '1 2 -1' or '1^3 2'; a one-token word that "
+                          "starts with '-', e.g. '-1^3', goes after '--', with any option "
+                          "before the '--'"),
         _arg("--delta-power", type=int, default=0, metavar="K",
              help="prepend (s1 s2 s1)^K (negative K uses inverse letters)")]),
     "counts": (_cmd_counts, "x_count, m, p for one (t, n) cell", [_T, _N]),

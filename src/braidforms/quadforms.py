@@ -341,6 +341,10 @@ def _residues(t: int) -> tuple[tuple[FormClassKey, ...], dict[tuple[int, int, in
     cycle, of even length from its least member, a < 0 < c at even positions
     and c < 0 < a at odd ones.  Least members have a < 0: sigma's (-a, b, -c)
     and rho's (c, b, a) come from odd positions, sigma-rho's (-c, b, -a) from even.
+    The Delta^2 rule: the classes of -t are those of t, each with residue
+    6 - r.  A key K at -t is the class of -M = M (ST)^3, with M of form -K at
+    t, of residue -r, and (ST)^3 = phi(Delta^2) of exponent 6.  Its tier-1
+    home is tests/test_counts.py::TestTraceClasses::test_exact_residue_symmetries.
     """
     keys = enumerate_classes(t)
     residues: dict[tuple[int, int, int], int] = {}

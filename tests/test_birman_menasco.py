@@ -160,6 +160,7 @@ class TestExcludedTrace:
     def test_rejects_matrices_of_trace_plus_minus_2(self, m):
         partner = Mat2Z(2, 1, 1, 1)  # trace 3, so a trace mismatch cannot answer first
         self.assert_refused(quadforms.form_of_matrix, m)
+        self.assert_refused(quadforms.is_conjugate, m, m)
         self.assert_refused(quadforms.is_conjugate, m, partner)
         self.assert_refused(quadforms.is_conjugate, partner, m)
 

@@ -535,7 +535,9 @@ def golden_argvs() -> list[tuple[str, ...]]:
               ("invariants", f"1^{MAX_WORD_LETTERS + 1}"),
               ("invariants", "", "--delta-power", "817"),
               ("invariants", " ".join(["1 2"] * 1001))]
-    return [case + fmt for case in cases for fmt in FORMATS]
+    # A one-token word that starts with '-' goes after '--', the format before it.
+    return [case + fmt for case in cases for fmt in FORMATS] + \
+        [("invariants", *fmt, "--", "-1^3") for fmt in FORMATS]
 
 
 def digest(result: tuple[int, str, str]) -> str:
@@ -558,7 +560,8 @@ def test_golden_outputs():
         result = run_in_process(argv)
         if digest(result) != golden[shlex.join(argv)]:
             changed.append(shlex.join(argv))
-        if argv[-2:] == ("--format", "json") and result[1] and not canonical_json(argv, result[1]):
+        if ("--format", "json") in zip(argv, argv[1:]) and result[1] \
+                and not canonical_json(argv, result[1]):
             not_canonical.append(shlex.join(argv))
     assert (changed, not_canonical) == ([], [])
 

@@ -252,14 +252,6 @@ def box(trace_bound: int, exponent_bound: int) -> tuple[range, range]:
 
 
 class TestCensus:
-    def test_explicit_witness(self):
-        assert braid_census(3, 0, 2) >= 1
-
-    def test_monotone_in_length(self):
-        for cell in ((3, 0), (1, 2), (8, 5)):
-            values = [braid_census(*cell, L) for L in (2, 4, 6, 8)]
-            assert values == sorted(values)
-
     def test_matches_word_walk(self):
         assert census_table(0, *box(8, 8)) == {}
         for bounds in ((8, 8), (0, 0), (3, 20), (60, 5), (10**5, 8)):
