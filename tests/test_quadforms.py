@@ -66,19 +66,23 @@ class TestAct:
         f = QForm(3, -2, 5)
         assert act(IDENTITY, f) == f
 
+    def test_discriminant_invariance(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            m, f = random_st_matrix(rng), random_form(rng)
+            assert act(m, f).discriminant() == f.discriminant()
+
     def test_shear_example(self):
         # f(x + y, y) for f = x^2 + xy - y^2
         assert act(S, QForm(1, 1, -1)) == QForm(1, 3, 1)
 
     def test_matches_pointwise_substitution(self):
-        for seed, draws in ((1, 300), (2, 200)):
-            rng = random.Random(seed)
-            for _ in range(draws):
-                m, f = random_st_matrix(rng), random_form(rng)
-                g = act(m, f)
-                assert g.discriminant() == f.discriminant()
-                for x, y in ((1, 0), (0, 1), (1, 1), (2, -3)):
-                    assert evaluate(g, x, y) == substitute(f, m, x, y)
+        rng = random.Random(2)
+        for _ in range(200):
+            m, f = random_st_matrix(rng), random_form(rng)
+            g = act(m, f)
+            for x, y in ((1, 0), (0, 1), (1, 1), (2, -3)):
+                assert evaluate(g, x, y) == substitute(f, m, x, y)
 
     def test_composition_order(self):
         # act(M, act(N, f)) == act(N * M, f): pins the group action order.
@@ -95,16 +99,14 @@ class TestReduce:
         assert key.disc == -4
 
     def test_orbit_invariance(self):
-        # equivalent is equality of keys, so one sweep checks both.
-        for seed, draws in ((4, 300), (6, 200)):
-            rng = random.Random(seed)
-            for _ in range(draws):
-                f = random_form(rng)
-                disc = f.discriminant()
-                if disc > 0 and int(disc ** 0.5) ** 2 == disc:
-                    continue
-                g = act(random_st_matrix(rng), f)
-                assert reduce(g) == reduce(f) and equivalent(f, g), (f, g)
+        rng = random.Random(4)
+        for _ in range(300):
+            f = random_form(rng)
+            disc = f.discriminant()
+            if disc > 0 and int(disc ** 0.5) ** 2 == disc:
+                continue
+            m = random_st_matrix(rng)
+            assert reduce(act(m, f)) == reduce(f)
 
     def test_every_reduced_definite_form_to_disc_minus_400(self):
         # Each reduced form |b| <= a <= c, b >= 0 if |b| = a or a = c, and
@@ -214,6 +216,15 @@ class TestEquivalent:
         # bounded conjugator search agrees: no image ever flips the sign
         f = QForm(1, 0, 1)
         assert all(act(m, f) != QForm(-1, 0, -1) for m in sl2_ball(6))
+
+    def test_orbit_members(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            f = random_form(rng)
+            disc = f.discriminant()
+            if disc > 0 and int(disc ** 0.5) ** 2 == disc:
+                continue
+            assert equivalent(f, act(random_st_matrix(rng), f))
 
     def test_different_discriminants(self):
         assert not equivalent(QForm(1, 0, 1), QForm(1, 1, -1))
@@ -465,3 +476,16 @@ class TestCorrespondence:
     def test_matrix_of_form_validation(self):
         with pytest.raises(ValueError):
             matrix_of_form(QForm(1, 0, 1), 4)  # wrong discriminant
+
+    def test_conjugate_matrices_give_equivalent_forms(self):
+        rng = random.Random(7)
+        done = 0
+        while done < 200:
+            m = random_st_matrix(rng)
+            if m.trace() in (2, -2):
+                continue
+            p = random_st_matrix(rng)
+            f = form_of_matrix(m)
+            g = form_of_matrix(p * m * p.inverse())
+            assert equivalent(f, g)
+            done += 1

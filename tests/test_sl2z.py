@@ -43,6 +43,12 @@ def check_decomposition(m):
 
 
 class TestMat2Z:
+    def test_determinant_enforced(self):
+        with pytest.raises(ValueError):
+            Mat2Z(1, 0, 0, 2)
+        with pytest.raises(ValueError):
+            Mat2Z(0, 0, 0, 0)
+
     def test_product_examples(self):
         assert S * T == Mat2Z(0, 1, -1, 1)
         m = Mat2Z(3, 2, 4, 3)
@@ -150,6 +156,17 @@ class TestIsConjugate:
         m = st_product([("S", 2), ("T", -1)])
         assert m.trace() not in (2, -2)
         assert is_conjugate(m, m)
+
+    def test_conjugates(self):
+        rng = random.Random(8)
+        done = 0
+        while done < 100:
+            m = random_matrix(rng)
+            if m.trace() in (2, -2):
+                continue
+            p = random_matrix(rng)
+            assert is_conjugate(m, p * m * p.inverse())
+            done += 1
 
     def test_inverse_rotations_are_distinct(self):
         j = Mat2Z(0, 1, -1, 0)
