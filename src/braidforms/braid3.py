@@ -83,6 +83,10 @@ class BraidWord(_value.Value, defaults=((),)):
         return _burau_product(self._runs)
 
     @cached_property
+    def _eps(self) -> int:
+        return len(self.letters) - 2 * (self.letters.count(-1) + self.letters.count(-2))
+
+    @cached_property
     def _phi(self) -> sl2z.Mat2Z:
         return sl2z.st_product([(gen, p * n) for letter, n in self._runs
                                 for gen, p in [sl2z.LETTERS[letter]]])
@@ -135,8 +139,8 @@ def parse_syllables(text: str) -> list[tuple[int, int]]:
 
 
 def exponent_sum(w: BraidWord) -> int:
-    """The abelianization B3 -> Z: signed letter count."""
-    return len(w.letters) - 2 * (w.letters.count(-1) + w.letters.count(-2))
+    """The abelianization B3 -> Z: signed letter count, kept on the word."""
+    return w._eps
 
 
 def garside_power(k: int) -> BraidWord:
@@ -148,7 +152,7 @@ def garside_power(k: int) -> BraidWord:
 class BurauMat(_value.Value):
     """A 2x2 matrix over Z[q^{+-1}], row-major entries."""
 
-    __slots__ = ("e11", "e12", "e21", "e22")
+    __slots__ = ("e11", "e12", "e21", "e22", "__dict__")
 
     def __mul__(self, other: "BurauMat") -> "BurauMat":
         return BurauMat(self.e11 * other.e11 + self.e12 * other.e21,
@@ -156,8 +160,13 @@ class BurauMat(_value.Value):
                         self.e21 * other.e11 + self.e22 * other.e21,
                         self.e21 * other.e12 + self.e22 * other.e22)
 
-    def trace(self) -> HalfLaurent:
+    # Summed once, on first use, into the instance dict: alexander and jones both read it.
+    @cached_property
+    def _trace(self) -> HalfLaurent:
         return self.e11 + self.e22
+
+    def trace(self) -> HalfLaurent:
+        return self._trace
 
     def det(self) -> HalfLaurent:
         return self.e11 * self.e22 - self.e12 * self.e21

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from functools import cache
 
@@ -190,9 +191,7 @@ COMMANDS = {
     "forms": (_cmd_forms, "all reduced forms of discriminant t^2 - 4", [_T]),
     "classes": (_cmd_classes, "form classes with exponent residues", [_T]),
     "invariants": (_cmd_invariants, "invariants of a braid closure", [
-        _arg("word", help="braid word, e.g. '1 2 -1' or '1^3 2'; a one-token word that "
-                          "starts with '-', e.g. '-1^3', goes after '--', with any option "
-                          "before the '--'"),
+        _arg("word", help="braid word, e.g. '1 2 -1', '1^3 2' or '-1^3'"),
         _arg("--delta-power", type=int, default=0, metavar="K",
              help="prepend (s1 s2 s1)^K (negative K uses inverse letters)")]),
     "counts": (_cmd_counts, "x_count, m, p for one (t, n) cell", [_T, _N]),
@@ -220,6 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **kwargs)
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
+    # argparse takes a token that starts with '-' for an option unless it looks like a
+    # negative number, a test with no public setting; a word such as '-1^3' passes it too.
+    sub.choices["invariants"]._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -60,7 +60,7 @@ def dense_add(a_off: int, a: Sequence[int], b_off: int, b: Sequence[int],
 
     The pair stands for sum(c * x**(offset + i)).  The result has no zero
     at either end, and zero is (0, []).  A sum whose ends do not cancel,
-    the usual case, is returned at once; otherwise plain loops trim it.
+    the usual case, is returned at once; otherwise both ends are trimmed.
     """
     if not b:
         return a_off, list(a)
@@ -74,12 +74,14 @@ def dense_add(a_off: int, a: Sequence[int], b_off: int, b: Sequence[int],
     out[j:k] = map(add if sign > 0 else sub, out[j:k], b)
     if out[0] and out[-1]:
         return lo, out
-    while out and not out[-1]:
+    first = next(filter(None, out), 0)
+    if not first:
+        return 0, []
+    # Every entry before the first nonzero one is zero, so index finds it.
+    start = out.index(first)
+    while not out[-1]:
         out.pop()
-    start = 0
-    while start < len(out) and not out[start]:
-        start += 1
-    return (lo + start if out else 0), out[start:]
+    return lo + start, out[start:]
 
 
 class HalfLaurent:
@@ -165,13 +167,17 @@ class HalfLaurent:
             a, b = b, a
         if not b:
             return ZERO
+        off = self._off + other._off
+        if len(b) == 1 and b[0] in (1, -1):
+            # A unit monomial +-s^k, such as a prefactor of alexander or jones, is a shift.
+            return HalfLaurent.from_dense(off, a if b[0] == 1 else [-c for c in a])
         # One shifted, scaled copy of the longer operand per term of the
         # shorter; the end coefficients are products of nonzero integers.
         out = [0] * (len(a) + len(b) - 1)
         for j, c in enumerate(b):
             if c:
                 out[j:j + len(a)] = [x + c * y for x, y in zip(out[j:j + len(a)], a)]
-        return HalfLaurent.from_dense(self._off + other._off, out)
+        return HalfLaurent.from_dense(off, out)
 
     __rmul__ = __mul__
 
@@ -191,10 +197,12 @@ class HalfLaurent:
         d_deg = len(lower)
         den = [(e, v) for e, v in enumerate(lower) if v]
         for shift in range(len(rem) - 1 - d_deg, -1, -1):
-            c, r = divmod(rem[shift + d_deg], d_lead)
-            if r:
-                raise NonDivisibleError("leading coefficient does not divide")
-            rem[shift + d_deg] = c
+            c = rem[shift + d_deg]
+            if d_lead != 1:  # a monic divisor's quotient term is the slot itself
+                c, r = divmod(c, d_lead)
+                if r:
+                    raise NonDivisibleError("leading coefficient does not divide")
+                rem[shift + d_deg] = c
             if c:
                 for e, v in den:
                     rem[e + shift] -= c * v
@@ -214,17 +222,10 @@ class HalfLaurent:
         Integral exponents print as integers, half-integral ones as k/2,
         and the constant term prints bare, e.g. "-1*q^-1 + 2 + 1*q^3/2".
         """
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                parts.append(str(c))
-            elif e % 2 == 0:
-                parts.append(f"{c}*q^{e // 2}")
-            else:
-                parts.append(f"{c}*q^{e}/2")
-        return " + ".join(parts)
+        return " + ".join([str(c) if e == 0 else
+                           f"{c}*q^{e // 2}" if e % 2 == 0 else
+                           f"{c}*q^{e}/2"
+                           for e, c in enumerate(self._coeffs, self._off) if c]) or "0"
 
     def __str__(self) -> str:
         return self.render()

@@ -51,6 +51,7 @@ ROWS = [*STREAM_ROWS,
         Row("m 99999 324 --format json", "{}", 0, "", "{\n", 10),  # a family-iv cell
         Row("invariants '1 2' --delta-power -3 --format json", "{}", 0, "", "{\n"),
         Row("invariants '1 2' --delta-power 3 --format json", "{}", 0, "", "{\n"),
+        Row("invariants -1^3 --format json", "{}", 0, "", "{\n"),  # a word that starts with '-'
         *LIMIT_ROWS]
 #: Run by this Python: act((ST^-1)^16000, (1, 3, -1)), a 44,433-bit form, reduces to its key.
 REDUCTION = Row("-c " + shlex.quote(

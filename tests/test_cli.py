@@ -518,7 +518,8 @@ def golden_argvs() -> list[tuple[str, ...]]:
     # Long syllables: the running sums and the trims of long Burau entries.
     cases += [("invariants", "1^333 2^333 -1^334"), ("invariants", "-2^333 1^333 2^334"),
               ("invariants", "1^40 -2^40 -1^40 2^40", "--delta-power", "-3"),
-              ("invariants", "1 2 1", "--delta-power", "-1"), ("invariants", "1^2 -2")]
+              ("invariants", "1 2 1", "--delta-power", "-1"), ("invariants", "1^2 -2"),
+              ("invariants", "-1^3"), ("invariants", "-1^3", "--delta-power", "2")]
     for tmin, tmax, window in ((-3, 3, ()), (-7, -4, ()), (2, 2, ()), (5, 3, ()),
                                (1, 4, ("--n", "0")), (-4, -1, ("--n", "-4")),
                                (3, 8, ()), (2, 3, ()), (-2, -2, ()), (-5, -3, ()),
@@ -535,7 +536,7 @@ def golden_argvs() -> list[tuple[str, ...]]:
               ("invariants", f"1^{MAX_WORD_LETTERS + 1}"),
               ("invariants", "", "--delta-power", "817"),
               ("invariants", " ".join(["1 2"] * 1001))]
-    # A one-token word that starts with '-' goes after '--', the format before it.
+    # A one-token word that starts with '-' also parses after '--', the format before it.
     return [case + fmt for case in cases for fmt in FORMATS] + \
         [("invariants", *fmt, "--", "-1^3") for fmt in FORMATS]
 
@@ -555,6 +556,8 @@ def test_golden_outputs():
     golden = json.loads(GOLDEN.read_text())
     argvs = golden_argvs()
     assert sorted(golden) == sorted(shlex.join(argv) for argv in argvs)
+    assert all(golden[shlex.join(("invariants", "-1^3", *fmt))]
+               == golden[shlex.join(("invariants", *fmt, "--", "-1^3"))] for fmt in FORMATS)
     changed, not_canonical = [], []
     for argv in argvs:
         result = run_in_process(argv)

@@ -228,6 +228,13 @@ def test_constructor_edge_cases():
 
 
 @given(term_lists, term_lists)
+# Products by a unit monomial +-s^k, a shift, on either side and with zero.
+@example([(-3, 1)], [(5, 2), (-7, -1), (0, 3)])
+@example([(5, 2), (-7, -1)], [(0, -1)])
+@example([(2, -1)], [(-7, 3), (1, -4)])
+@example([(4, 1), (-2, 3), (9, -2)], [(2, 1)])
+@example([(-3, -1)], [])
+@example([], [(0, 1)])
 def test_ring_operations_match_sparse(p, r):
     dp, dr = HalfLaurent(p), HalfLaurent(r)
     sp, sr = SparseHalfLaurent(p), SparseHalfLaurent(r)
@@ -240,6 +247,10 @@ def test_ring_operations_match_sparse(p, r):
 
 
 @given(term_lists, term_lists, term_lists)
+# The monic 1 + q + q^2, and divisors led by -1 and by 2.
+@example([(-5, 2), (0, -1), (3, 4)], list(CYCLOTOMIC3.items()), [(1, 1), (6, -2)])
+@example([(1, 3), (4, -1)], [(0, 2), (3, -1)], [(-2, 1), (7, 3)])
+@example([(1, 3), (4, -1)], [(-1, 1), (2, 2)], [(5, 1)])
 def test_exact_div_matches_sparse(p, d, r):
     dp, dd, dr = HalfLaurent(p), HalfLaurent(d), HalfLaurent(r)
     sp, sd, sr = SparseHalfLaurent(p), SparseHalfLaurent(d), SparseHalfLaurent(r)
@@ -276,6 +287,8 @@ SUM_TARGETS = st.one_of(st.just("free"), st.tuples(st.integers(-61, 61), st.inte
 @example([(-9, 1), (3, 2)], [], 1, (1, 0))  # cancelled everywhere
 @example([(-9, 1), (3, 2)], [], 1, (-9, 2))  # top cancelled
 @example([(-9, 1), (3, 2)], [], -1, (-8, 3))  # bottom cancelled
+@example([(-9, 1), (-6, 2), (-2, -3), (1, 1), (4, 2), (8, -1)], [], 1, (0, 61))  # lower half
+@example([(-9, 1), (-6, 2), (-2, -3), (1, 1), (4, 2), (8, -1)], [], -1, (1, 0))  # all of it
 def test_dense_add_matches_sparse(p, r, sign, target):
     sa = SparseHalfLaurent(p)
     if target == "free":

@@ -146,13 +146,19 @@ def test_copy_deepcopy_and_pickle(cls, fields, text):
 def test_word_with_cached_images_keeps_its_value_contract():
     word = BraidWord((1, 1, 1, 2))
     image, matrix = braid3.burau(word), braid3.phi(word)
-    fresh = BraidWord((1, 1, 1, 2))
+    trace, eps = image.trace(), braid3.exponent_sum(word)
+    fresh, bare = BraidWord((1, 1, 1, 2)), BurauMat(*image.entries())
     assert word == fresh and hash(word) == hash(fresh)
+    assert image == bare and hash(image) == hash(bare) and repr(image) == repr(bare)
     assert repr(word) == "BraidWord(letters=(1, 1, 1, 2))"
     assert braid3.burau(word) is image and braid3.phi(word) is matrix
+    assert image.trace() is trace and braid3.exponent_sum(word) == eps == 4
     for result in _round_trips(word):
         assert result == word and repr(result) == repr(word)
         assert braid3.burau(result) == image and braid3.phi(result) == matrix
+        assert braid3.exponent_sum(result) == eps
+    for result in _round_trips(image):
+        assert result == image and repr(result) == repr(image) and result.trace() == trace
 
 
 @pytest.mark.parametrize("args", cli_contract.MODULE_SETS)
